@@ -36,7 +36,7 @@ pub mod wefr;
 
 pub use ensemble::{ensemble_rankings, EnsembleRanking, RankerOutcome, PAPER_OUTLIER_SIGMA};
 pub use error::WefrError;
-pub use ranker::FeatureRanker;
+pub use ranker::{FeatureRanker, RankInput};
 pub use rankers::{
     default_rankers, ForestRanker, GradientBoostingRanker, JIndexRanker, PearsonRanker,
     SpearmanRanker,

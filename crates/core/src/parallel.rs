@@ -7,7 +7,7 @@
 //! [`run_rankers_with_threads`].
 
 use crate::error::WefrError;
-use crate::ranker::FeatureRanker;
+use crate::ranker::{bin_if, FeatureRanker, RankInput};
 use crate::ranking::FeatureRanking;
 use smart_stats::FeatureMatrix;
 
@@ -31,6 +31,10 @@ pub fn run_rankers(
 
 /// Run every ranker over the same data on at most `max_threads` scoped
 /// worker threads, returning the named rankings in input order.
+///
+/// The input is prepared once before the fan-out: when any ranker
+/// [uses the binned matrix](FeatureRanker::uses_binned), `data` is binned
+/// here, once, and shared by every such ranker.
 ///
 /// Rankers are dealt to workers round-robin by index, so the assignment —
 /// and therefore the result, which is ordered by ranker index regardless of
@@ -59,6 +63,13 @@ pub fn run_rankers_with_threads(
             message: "max_threads must be at least 1".to_string(),
         });
     }
+    let binned = bin_if(rankers.iter().any(|r| r.uses_binned()), data)?;
+    let input = RankInput {
+        data,
+        labels,
+        binned: binned.as_ref(),
+    };
+    let input = &input;
 
     let workers = max_threads.min(rankers.len());
     let fanout = telemetry::span!("rankers", total = rankers.len(), workers = workers);
@@ -74,7 +85,7 @@ pub fn run_rankers_with_threads(
                         .step_by(workers)
                         .map(|(index, ranker)| {
                             let span = telemetry::span_child_of(fanout_id, ranker.name());
-                            let result = ranker.rank(data, labels);
+                            let result = ranker.rank_prepared(input);
                             span.record("ok", result.is_ok());
                             telemetry::counter_add("rankers.completed", 1);
                             (index, result)

@@ -3,6 +3,37 @@
 use crate::error::WefrError;
 use crate::ranking::FeatureRanking;
 use smart_stats::FeatureMatrix;
+use smart_trees::BinnedMatrix;
+
+/// One group's ranker input, prepared once before the ranker fan-out so
+/// that shared work (binning for the histogram tree engines) happens once
+/// per group rather than once per ranker.
+#[derive(Debug, Clone, Copy)]
+pub struct RankInput<'a> {
+    /// Base learning features, one row per sample.
+    pub data: &'a FeatureMatrix,
+    /// Failure labels, one per sample.
+    pub labels: &'a [bool],
+    /// `BinnedMatrix::from_matrix(data)`, present when some ranker
+    /// [uses it](FeatureRanker::uses_binned).
+    pub binned: Option<&'a BinnedMatrix>,
+}
+
+/// Bin `data` when `wanted` — the one binning a [`RankInput`] carries.
+///
+/// # Errors
+///
+/// Propagates binning errors.
+pub(crate) fn bin_if(
+    wanted: bool,
+    data: &FeatureMatrix,
+) -> Result<Option<BinnedMatrix>, WefrError> {
+    Ok(if wanted {
+        Some(BinnedMatrix::from_matrix(data)?)
+    } else {
+        None
+    })
+}
 
 /// A preliminary feature-selection approach: scores every learning feature
 /// against the failure label and produces a [`FeatureRanking`].
@@ -13,13 +44,36 @@ pub trait FeatureRanker: Send + Sync {
     /// Human-readable name (used in reports and outlier diagnostics).
     fn name(&self) -> &'static str;
 
-    /// Rank all features of `data` against `labels`.
+    /// Rank all features of `input.data` against `input.labels`, reading
+    /// `input.binned` if [`uses_binned`](Self::uses_binned).
     ///
     /// # Errors
     ///
     /// Implementations surface their underlying numeric errors; WEFR maps
     /// them to [`WefrError::RankerFailed`] with the ranker's name attached.
-    fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError>;
+    fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError>;
+
+    /// Whether [`rank_prepared`](Self::rank_prepared) reads
+    /// [`RankInput::binned`]. The histogram-engine tree rankers do; the
+    /// rest do not (the default).
+    fn uses_binned(&self) -> bool {
+        false
+    }
+
+    /// Rank all features of `data` against `labels`, preparing the input
+    /// for this ranker alone.
+    ///
+    /// # Errors
+    ///
+    /// As [`rank_prepared`](Self::rank_prepared), plus binning errors.
+    fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError> {
+        let binned = bin_if(self.uses_binned(), data)?;
+        self.rank_prepared(&RankInput {
+            data,
+            labels,
+            binned: binned.as_ref(),
+        })
+    }
 }
 
 /// Pairwise deletion for missing data: one column's `(value, paired)` rows

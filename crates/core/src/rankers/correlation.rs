@@ -1,10 +1,9 @@
 //! Correlation-based rankers: Pearson (linear) and Spearman (monotonic).
 
 use crate::error::WefrError;
-use crate::ranker::{observed_only, validate_input, FeatureRanker};
+use crate::ranker::{observed_only, validate_input, FeatureRanker, RankInput};
 use crate::ranking::FeatureRanking;
 use smart_stats::correlation::{pearson, spearman};
-use smart_stats::FeatureMatrix;
 
 /// Score one column, dropping missing (NaN) cells pairwise first. Columns
 /// with fewer than two observed rows score 0.0.
@@ -38,7 +37,8 @@ impl FeatureRanker for PearsonRanker {
         "pearson"
     }
 
-    fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError> {
+    fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError> {
+        let RankInput { data, labels, .. } = *input;
         validate_input(data, labels)?;
         let y: Vec<f64> = labels.iter().map(|&l| f64::from(u8::from(l))).collect();
         let scores = (0..data.n_features())
@@ -65,7 +65,8 @@ impl FeatureRanker for SpearmanRanker {
         "spearman"
     }
 
-    fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError> {
+    fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError> {
+        let RankInput { data, labels, .. } = *input;
         validate_input(data, labels)?;
         let y: Vec<f64> = labels.iter().map(|&l| f64::from(u8::from(l))).collect();
         let scores = (0..data.n_features())
@@ -78,6 +79,7 @@ impl FeatureRanker for SpearmanRanker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smart_stats::FeatureMatrix;
 
     /// col 0: linearly correlated; col 1: monotone nonlinear; col 2: noise.
     fn data() -> (FeatureMatrix, Vec<bool>) {

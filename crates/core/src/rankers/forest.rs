@@ -1,10 +1,9 @@
 //! Random-Forest importance ranker (the approach of Narayanan et al. \[21\]).
 
 use crate::error::WefrError;
-use crate::ranker::{validate_input, FeatureRanker};
+use crate::ranker::{validate_input, FeatureRanker, RankInput};
 use crate::ranking::FeatureRanking;
-use smart_stats::FeatureMatrix;
-use smart_trees::{ForestConfig, RandomForest};
+use smart_trees::{ForestConfig, RandomForest, SplitStrategy};
 
 /// Which Random-Forest importance to rank by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +52,18 @@ impl FeatureRanker for ForestRanker {
         "random-forest"
     }
 
-    fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError> {
+    fn uses_binned(&self) -> bool {
+        self.config.strategy == SplitStrategy::Histogram
+    }
+
+    fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError> {
+        let RankInput {
+            data,
+            labels,
+            binned,
+        } = *input;
         validate_input(data, labels)?;
-        let forest = RandomForest::fit(data, labels, &self.config)?;
+        let forest = RandomForest::fit_prepared(data, binned, labels, &self.config)?;
         let scores = match self.importance {
             ForestImportance::Permutation => forest.permutation_importances(data, labels)?,
             ForestImportance::Impurity => forest.impurity_importances(),
@@ -69,6 +77,7 @@ mod tests {
     use super::*;
     use rng::rngs::StdRng;
     use rng::{RngExt, SeedableRng};
+    use smart_stats::FeatureMatrix;
 
     fn data() -> (FeatureMatrix, Vec<bool>) {
         let mut rng = StdRng::seed_from_u64(3);

@@ -1,10 +1,9 @@
 //! Gradient-boosting importance ranker (the XGBoost stand-in of §II-C).
 
 use crate::error::WefrError;
-use crate::ranker::{validate_input, FeatureRanker};
+use crate::ranker::{validate_input, FeatureRanker, RankInput};
 use crate::ranking::FeatureRanking;
-use smart_stats::FeatureMatrix;
-use smart_trees::{BoostingConfig, GradientBoosting};
+use smart_trees::{BoostingConfig, GradientBoosting, SplitStrategy};
 
 /// Which boosting importance to rank by. The paper describes XGBoost
 /// importance as combining "the number of splits … and the average gain";
@@ -46,9 +45,18 @@ impl FeatureRanker for GradientBoostingRanker {
         "gradient-boosting"
     }
 
-    fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError> {
+    fn uses_binned(&self) -> bool {
+        self.config.strategy == SplitStrategy::Histogram
+    }
+
+    fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError> {
+        let RankInput {
+            data,
+            labels,
+            binned,
+        } = *input;
         validate_input(data, labels)?;
-        let model = GradientBoosting::fit(data, labels, &self.config)?;
+        let model = GradientBoosting::fit_prepared(data, binned, labels, &self.config)?;
         let scores = match self.importance {
             BoostImportance::Gain => model.gain_importances(),
             BoostImportance::SplitCount => model.split_count_importances(),
@@ -70,6 +78,7 @@ mod tests {
     use super::*;
     use rng::rngs::StdRng;
     use rng::{RngExt, SeedableRng};
+    use smart_stats::FeatureMatrix;
 
     fn data() -> (FeatureMatrix, Vec<bool>) {
         let mut rng = StdRng::seed_from_u64(9);

@@ -1,10 +1,9 @@
 //! J-index ranker: the Youden-index-based approach of Lu et al. \[16\].
 
 use crate::error::WefrError;
-use crate::ranker::{observed_only, validate_input, FeatureRanker};
+use crate::ranker::{observed_only, validate_input, FeatureRanker, RankInput};
 use crate::ranking::FeatureRanking;
 use smart_stats::threshold::j_index;
-use smart_stats::FeatureMatrix;
 
 /// J-index of one column with missing (NaN) cells dropped pairwise. A
 /// column whose observed labels collapse to a single class scores 0.0 — no
@@ -39,7 +38,8 @@ impl FeatureRanker for JIndexRanker {
         "j-index"
     }
 
-    fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError> {
+    fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError> {
+        let RankInput { data, labels, .. } = *input;
         validate_input(data, labels)?;
         let scores = (0..data.n_features())
             .map(|c| j_index_observed(data.column(c), labels))
@@ -51,6 +51,7 @@ impl FeatureRanker for JIndexRanker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smart_stats::FeatureMatrix;
 
     #[test]
     fn prefers_threshold_separable_feature() {

@@ -324,7 +324,8 @@ impl Wefr {
 
     /// Lines 1–8 of Algorithm 1 for one group of samples: run the rankers
     /// in parallel, remove outlier rankings, aggregate by mean rank, and
-    /// cut the ranking at the automated feature count.
+    /// cut the ranking at the automated feature count. The group's matrix
+    /// is binned once, before the fan-out, for both tree rankers.
     pub fn select_group(
         &self,
         data: &FeatureMatrix,

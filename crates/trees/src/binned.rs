@@ -30,9 +30,11 @@
 //! gain-better side"), ties resolving to left. Features without missing
 //! cells take exactly the pre-NaN code path, bit for bit.
 
+use crate::config::SplitStrategy;
 use crate::error::TreesError;
 use crate::split::Split;
 use smart_stats::FeatureMatrix;
+use std::borrow::Cow;
 
 /// Default (and maximum) number of bins per feature. 255 keeps codes in a
 /// `u8` and matches the LightGBM default.
@@ -40,7 +42,7 @@ pub const DEFAULT_MAX_BINS: usize = 255;
 
 /// A feature matrix quantized to per-feature `u8` bin codes, built once per
 /// dataset and shared by every tree trained under
-/// [`SplitStrategy::Histogram`](crate::SplitStrategy::Histogram).
+/// [`SplitStrategy::Histogram`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
     names: Vec<String>,
@@ -200,7 +202,7 @@ impl BinnedMatrix {
     /// Routing any quantized row through a histogram-trained tree is
     /// identical to routing the original row (thresholds are bin uppers),
     /// and permuting a quantized column is exactly a permutation of bin
-    /// ids — the form the binned permutation importance uses.
+    /// ids.
     pub fn quantized_matrix(&self) -> FeatureMatrix {
         let columns: Vec<Vec<f64>> = (0..self.n_features())
             .map(|f| {
@@ -239,7 +241,7 @@ impl BinnedMatrix {
         min_samples_leaf: usize,
     ) -> Option<Split> {
         let mut scratch = HistScratch::new();
-        let hist = scratch.accumulate(self, feature, rows, targets);
+        let hist = scratch.accumulate(self, feature, rows, targets, None);
         scan_boundaries(
             &hist.sum,
             &hist.cnt,
@@ -248,6 +250,39 @@ impl BinnedMatrix {
             min_samples_leaf,
         )
         .map(|(split, _)| split)
+    }
+}
+
+/// The binned form of `data` that a fit under `strategy` reads: `None` for
+/// [`SplitStrategy::Exact`]; otherwise `prepared` when the caller already
+/// binned `data` (it must be `BinnedMatrix::from_matrix(data)`), else a
+/// fresh binning.
+///
+/// # Errors
+///
+/// Returns [`TreesError::LengthMismatch`] / [`TreesError::SchemaMismatch`]
+/// when `prepared` has another shape than `data`, and binning errors.
+pub(crate) fn binned_for<'a>(
+    strategy: SplitStrategy,
+    data: &FeatureMatrix,
+    prepared: Option<&'a BinnedMatrix>,
+) -> Result<Option<Cow<'a, BinnedMatrix>>, TreesError> {
+    match (strategy, prepared) {
+        (SplitStrategy::Exact, _) => Ok(None),
+        (SplitStrategy::Histogram, Some(b)) if b.n_rows() != data.n_rows() => {
+            Err(TreesError::LengthMismatch {
+                features: data.n_rows(),
+                targets: b.n_rows(),
+            })
+        }
+        (SplitStrategy::Histogram, Some(b)) if b.n_features() != data.n_features() => {
+            Err(TreesError::SchemaMismatch {
+                trained: b.n_features(),
+                given: data.n_features(),
+            })
+        }
+        (SplitStrategy::Histogram, Some(b)) => Ok(Some(Cow::Borrowed(b))),
+        (SplitStrategy::Histogram, None) => Ok(Some(Cow::Owned(BinnedMatrix::from_matrix(data)?))),
     }
 }
 
@@ -340,7 +375,10 @@ impl HistScratch {
         }
     }
 
-    /// Accumulate per-bin target sums/counts of `feature` over `rows`.
+    /// Accumulate per-bin sums of `values` and counts of `feature` over
+    /// `rows`. With `weights`, row `r` counts `weights[r]` times (a
+    /// bootstrap multiplicity, already folded into `values[r]`); without,
+    /// once per occurrence in `rows`.
     ///
     /// The scratch is zeroed up to the feature's bin count on entry, so it
     /// can be reused across features and nodes without re-allocation.
@@ -349,16 +387,28 @@ impl HistScratch {
         binned: &BinnedMatrix,
         feature: usize,
         rows: &[usize],
-        targets: &[f64],
+        values: &[f64],
+        weights: Option<&[u32]>,
     ) -> Histogram<'a> {
         let n_bins = binned.n_bins(feature);
         self.sum[..n_bins].fill(0.0);
         self.cnt[..n_bins].fill(0);
         let codes = binned.codes(feature);
-        for &r in rows {
-            let b = codes[r] as usize;
-            self.sum[b] += targets[r];
-            self.cnt[b] += 1;
+        match weights {
+            None => {
+                for &r in rows {
+                    let b = codes[r] as usize;
+                    self.sum[b] += values[r];
+                    self.cnt[b] += 1;
+                }
+            }
+            Some(weights) => {
+                for &r in rows {
+                    let b = codes[r] as usize;
+                    self.sum[b] += values[r];
+                    self.cnt[b] += weights[r];
+                }
+            }
         }
         Histogram {
             sum: &self.sum[..n_bins],

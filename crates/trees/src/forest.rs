@@ -6,13 +6,13 @@
 //! depth 13) and as one of the five preliminary feature-selection approaches
 //! (via feature importance, §II-C).
 
-use crate::binned::BinnedMatrix;
+use crate::binned::{binned_for, BinnedMatrix};
 use crate::config::{MaxFeatures, SplitStrategy, TreeConfig};
 use crate::error::TreesError;
 use crate::tree::RegressionTree;
 use rng::rngs::StdRng;
 use rng::{RngExt, SeedableRng};
-use smart_stats::sampling::{bootstrap_indices, out_of_bag_indices};
+use smart_stats::sampling::bootstrap_indices;
 use smart_stats::FeatureMatrix;
 
 /// Random Forest hyperparameters.
@@ -51,7 +51,10 @@ impl Default for ForestConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     trees: Vec<RegressionTree>,
+    /// Each tree's out-of-bag row ids, ascending, into the training matrix.
     oob_rows: Vec<Vec<usize>>,
+    /// Training row count: out-of-bag evaluation needs the same rows.
+    n_rows: usize,
     n_features: usize,
     config: ForestConfig,
 }
@@ -69,38 +72,72 @@ impl RandomForest {
         labels: &[bool],
         config: &ForestConfig,
     ) -> Result<Self, TreesError> {
+        RandomForest::fit_prepared(data, None, labels, config)
+    }
+
+    /// [`RandomForest::fit`] on a matrix the caller has already binned:
+    /// `binned` must be `BinnedMatrix::from_matrix(data)`. It is read under
+    /// [`SplitStrategy::Histogram`] (and built here when `None`), ignored
+    /// under [`SplitStrategy::Exact`].
+    ///
+    /// Each histogram tree trains on its bootstrap's distinct rows, each
+    /// with its integer multiplicity. The labels are 0/1, so every partial
+    /// sum is an exact integer and the trees are bit-identical to training
+    /// on the bootstrap's duplicated rows.
+    ///
+    /// # Errors
+    ///
+    /// As [`RandomForest::fit`], plus shape mismatches between `binned`
+    /// and `data`.
+    pub fn fit_prepared(
+        data: &FeatureMatrix,
+        binned: Option<&BinnedMatrix>,
+        labels: &[bool],
+        config: &ForestConfig,
+    ) -> Result<Self, TreesError> {
         config.tree.validate()?;
         if config.n_trees == 0 {
             return Err(TreesError::InvalidParameter {
                 message: "n_trees must be at least 1".to_string(),
             });
         }
-        if data.n_rows() == 0 {
+        let n = data.n_rows();
+        if n == 0 {
             return Err(TreesError::EmptyTraining);
         }
-        if labels.len() != data.n_rows() {
+        if labels.len() != n {
             return Err(TreesError::LengthMismatch {
-                features: data.n_rows(),
+                features: n,
                 targets: labels.len(),
             });
         }
         let targets: Vec<f64> = labels.iter().map(|&l| f64::from(u8::from(l))).collect();
 
-        // Bin once, share read-only across every tree and worker.
-        let binned = match config.strategy {
-            SplitStrategy::Histogram => Some(BinnedMatrix::from_matrix(data)?),
-            SplitStrategy::Exact => None,
-        };
+        // Bin once (or reuse the caller's binning), share read-only across
+        // every tree and worker.
+        let binned = binned_for(config.strategy, data, binned)?;
 
         let n_threads = effective_threads(config.n_threads, config.n_trees);
         let results: Vec<Result<(RegressionTree, Vec<usize>), TreesError>> =
             run_indexed_parallel(config.n_trees, n_threads, |tree_idx| {
                 let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, tree_idx as u64));
-                let bootstrap = bootstrap_indices(&mut rng, data.n_rows())?;
-                let oob = out_of_bag_indices(&bootstrap, data.n_rows());
+                let bootstrap = bootstrap_indices(&mut rng, n)?;
+                let mut counts = vec![0u32; n];
+                for &r in &bootstrap {
+                    counts[r] += 1;
+                }
+                let oob: Vec<usize> = (0..n).filter(|&r| counts[r] == 0).collect();
                 let tree = match &binned {
                     Some(b) => {
-                        RegressionTree::fit_binned(b, &targets, &bootstrap, &config.tree, &mut rng)
+                        let in_bag: Vec<usize> = (0..n).filter(|&r| counts[r] > 0).collect();
+                        RegressionTree::fit_weighted(
+                            b,
+                            &targets,
+                            &in_bag,
+                            &counts,
+                            &config.tree,
+                            &mut rng,
+                        )
                     }
                     None => RegressionTree::fit(data, &targets, &bootstrap, &config.tree, &mut rng),
                 }?;
@@ -115,6 +152,7 @@ impl RandomForest {
         Ok(RandomForest {
             trees,
             oob_rows,
+            n_rows: n,
             n_features: data.n_features(),
             config: *config,
         })
@@ -144,14 +182,15 @@ impl RandomForest {
     }
 
     /// Out-of-bag probability per training row (`None` for rows that were
-    /// in-bag for every tree).
+    /// in-bag for every tree). `data` must be the training matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TreesError::SchemaMismatch`] when the feature count differs
+    /// from training and [`TreesError::LengthMismatch`] when the row count
+    /// does.
     pub fn oob_proba(&self, data: &FeatureMatrix) -> Result<Vec<Option<f64>>, TreesError> {
-        if data.n_features() != self.n_features {
-            return Err(TreesError::SchemaMismatch {
-                trained: self.n_features,
-                given: data.n_features(),
-            });
-        }
+        self.check_training_shape(data)?;
         let mut sums = vec![0.0; data.n_rows()];
         let mut counts = vec![0u32; data.n_rows()];
         for (tree, oob) in self.trees.iter().zip(&self.oob_rows) {
@@ -167,11 +206,11 @@ impl RandomForest {
             .collect())
     }
 
-    /// Out-of-bag accuracy at a 0.5 threshold.
+    /// Out-of-bag accuracy at a 0.5 threshold on the training matrix.
     ///
     /// # Errors
     ///
-    /// Propagates schema mismatches; returns
+    /// Propagates [`Self::oob_proba`]'s shape errors; returns
     /// [`TreesError::LengthMismatch`] when `labels` don't cover `data`.
     pub fn oob_score(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<f64, TreesError> {
         if labels.len() != data.n_rows() {
@@ -218,21 +257,19 @@ impl RandomForest {
     ///
     /// This is the "degree of reduction of classification accuracy after
     /// adding noises to a learning feature" the paper describes (§II-C).
+    /// `data` must be the training matrix: the OOB row ids index it.
     ///
     /// # Errors
     ///
-    /// Propagates schema/length mismatches.
+    /// Returns [`TreesError::SchemaMismatch`] when the feature count differs
+    /// from training, and [`TreesError::LengthMismatch`] when the row count
+    /// differs from training or `labels` don't cover `data`.
     pub fn permutation_importances(
         &self,
         data: &FeatureMatrix,
         labels: &[bool],
     ) -> Result<Vec<f64>, TreesError> {
-        if data.n_features() != self.n_features {
-            return Err(TreesError::SchemaMismatch {
-                trained: self.n_features,
-                given: data.n_features(),
-            });
-        }
+        self.check_training_shape(data)?;
         if labels.len() != data.n_rows() {
             return Err(TreesError::LengthMismatch {
                 features: data.n_rows(),
@@ -240,22 +277,9 @@ impl RandomForest {
             });
         }
 
-        // Histogram-trained trees split at bin-upper thresholds, so permute
-        // the quantized columns — exactly a permutation of bin ids. Routing
-        // of unpermuted rows is unchanged (value and its bin upper fall on
-        // the same side of every threshold), so the baseline matches too.
-        let quantized;
-        let eval: &FeatureMatrix = match self.config.strategy {
-            SplitStrategy::Histogram => {
-                quantized = BinnedMatrix::from_matrix(data)?.quantized_matrix();
-                &quantized
-            }
-            SplitStrategy::Exact => data,
-        };
-
         let n_threads = effective_threads(self.config.n_threads, self.trees.len());
         let per_tree: Vec<Vec<f64>> = run_indexed_parallel(self.trees.len(), n_threads, |t| {
-            self.tree_permutation_importance(t, eval, labels)
+            self.tree_permutation_importance(t, data, labels)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
@@ -271,6 +295,12 @@ impl RandomForest {
     }
 
     /// Permutation importance of every feature for one tree's OOB set.
+    ///
+    /// Each feature's OOB values are copied and shuffled, and the OOB rows
+    /// whose path reads that feature are routed again, reading it from the
+    /// copy. Both engines route raw values: a histogram tree's thresholds
+    /// are bin uppers, so a value and its bin upper fall on the same side
+    /// of every threshold, and shuffling raw values is shuffling bin ids.
     fn tree_permutation_importance(
         &self,
         tree_idx: usize,
@@ -294,28 +324,69 @@ impl RandomForest {
             return Ok(vec![0.0; self.n_features]);
         }
 
-        // Materialize the OOB submatrix once; permute one column at a time.
-        let sub = data.select_rows(&rows)?;
-        let sub_labels: Vec<bool> = rows.iter().map(|&r| labels[r]).collect();
-        let baseline = accuracy_of_tree(tree, &sub, &sub_labels);
+        // The OOB block, row-major, so one row's traversal reads one short
+        // contiguous slice instead of one cache line per column.
+        let n_features = self.n_features;
+        let block: Vec<f64> = rows
+            .iter()
+            .flat_map(|&r| (0..n_features).map(move |f| data.value(r, f)))
+            .collect();
+        let samples = || block.chunks_exact(n_features).zip(&rows).enumerate();
+        let correct = |leaf: usize, row: usize| (tree.leaf_value(leaf) >= 0.5) == labels[row];
 
-        (0..self.n_features)
+        // Baseline pass: each row's correctness and the features its path
+        // reads. Permuting a feature off a row's path cannot move the row.
+        let mut on_path = vec![false; block.len()];
+        let mut baseline_ok = Vec::with_capacity(rows.len());
+        for (i, (sample, &r)) in samples() {
+            let seen = &mut on_path[i * n_features..(i + 1) * n_features];
+            let leaf = tree.leaf_of(|f| {
+                seen[f] = true;
+                sample[f]
+            });
+            baseline_ok.push(correct(leaf, r));
+        }
+        let baseline_correct = baseline_ok.iter().filter(|&&ok| ok).count();
+        let baseline = baseline_correct as f64 / rows.len() as f64;
+
+        let mut permuted = Vec::with_capacity(rows.len());
+        Ok((0..n_features)
             .map(|feature| {
-                let mut permuted = sub.column(feature).to_vec();
+                permuted.clear();
+                permuted.extend(block.iter().skip(feature).step_by(n_features));
+                // The draws happen for every feature, so each feature sees
+                // the same RNG stream however many rows it re-routes.
                 shuffle(&mut permuted, &mut rng);
-                let mut columns: Vec<Vec<f64>> = (0..sub.n_features())
-                    .map(|c| sub.column(c).to_vec())
-                    .collect();
-                columns[feature] = permuted;
-                // `with_missing`: permuting a column with NaN cells must
-                // keep them NaN, not fail matrix construction.
-                let shuffled = FeatureMatrix::from_columns_with_missing(
-                    sub.feature_names().to_vec(),
-                    columns,
-                )?;
-                Ok(baseline - accuracy_of_tree(tree, &shuffled, &sub_labels))
+                let mut n_correct = baseline_correct;
+                for (i, (sample, &r)) in samples() {
+                    if on_path[i * n_features + feature] {
+                        let leaf =
+                            tree.leaf_of(|f| if f == feature { permuted[i] } else { sample[f] });
+                        n_correct =
+                            n_correct + usize::from(correct(leaf, r)) - usize::from(baseline_ok[i]);
+                    }
+                }
+                baseline - n_correct as f64 / rows.len() as f64
             })
-            .collect()
+            .collect())
+    }
+
+    /// Reject an out-of-bag evaluation matrix that is not shaped like the
+    /// training matrix.
+    fn check_training_shape(&self, data: &FeatureMatrix) -> Result<(), TreesError> {
+        if data.n_features() != self.n_features {
+            return Err(TreesError::SchemaMismatch {
+                trained: self.n_features,
+                given: data.n_features(),
+            });
+        }
+        if data.n_rows() != self.n_rows {
+            return Err(TreesError::LengthMismatch {
+                features: data.n_rows(),
+                targets: self.n_rows,
+            });
+        }
+        Ok(())
     }
 
     /// The trained trees.
@@ -327,13 +398,6 @@ impl RandomForest {
     pub fn n_features(&self) -> usize {
         self.n_features
     }
-}
-
-fn accuracy_of_tree(tree: &RegressionTree, data: &FeatureMatrix, labels: &[bool]) -> f64 {
-    let correct = (0..data.n_rows())
-        .filter(|&r| (tree.predict_row(data, r) >= 0.5) == labels[r])
-        .count();
-    correct as f64 / data.n_rows().max(1) as f64
 }
 
 fn shuffle(xs: &mut [f64], rng: &mut StdRng) {
@@ -392,6 +456,325 @@ where
         // Some by the time the scope joins
         .map(|r| r.expect("all slots filled"))
         .collect()
+}
+
+#[cfg(test)]
+mod oracle {
+    //! Bit-identity oracle for the tree learners' fast paths.
+    //!
+    //! Three reference paths are kept here, test-only, in their earlier form:
+    //!
+    //! - the forest fit on duplicate-row bootstraps (every bootstrap draw is a
+    //!   row of its own, no multiplicities);
+    //! - permutation importance that quantizes the whole matrix, then rebuilds
+    //!   and re-validates a full `FeatureMatrix` for every (tree, feature)
+    //!   pair;
+    //! - the two-pass boosting score update: `apply` for the Newton step, then
+    //!   `predict_row` for the scores.
+    //!
+    //! Seeded property cases check that [`RandomForest::fit`],
+    //! [`RandomForest::permutation_importances`] and [`GradientBoosting::fit`]
+    //! reproduce them bit for bit, under both split engines and at 1 and 4
+    //! threads.
+
+    use super::*;
+    use crate::gbt::{BoostingConfig, GradientBoosting};
+    use rng::prop::Gen;
+    use smart_stats::sampling::{out_of_bag_indices, sample_without_replacement};
+
+    /// The forest fit with each tree trained on its bootstrap's duplicated rows.
+    fn reference_fit(data: &FeatureMatrix, labels: &[bool], config: &ForestConfig) -> RandomForest {
+        let n = data.n_rows();
+        let targets: Vec<f64> = labels.iter().map(|&l| f64::from(u8::from(l))).collect();
+        let binned = match config.strategy {
+            SplitStrategy::Histogram => Some(BinnedMatrix::from_matrix(data).unwrap()),
+            SplitStrategy::Exact => None,
+        };
+        let n_threads = effective_threads(config.n_threads, config.n_trees);
+        let (trees, oob_rows) = run_indexed_parallel(config.n_trees, n_threads, |tree_idx| {
+            let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, tree_idx as u64));
+            let bootstrap = bootstrap_indices(&mut rng, n).unwrap();
+            let oob = out_of_bag_indices(&bootstrap, n);
+            let tree = match &binned {
+                Some(b) => {
+                    RegressionTree::fit_binned(b, &targets, &bootstrap, &config.tree, &mut rng)
+                }
+                None => RegressionTree::fit(data, &targets, &bootstrap, &config.tree, &mut rng),
+            }
+            .unwrap();
+            (tree, oob)
+        })
+        .into_iter()
+        .unzip();
+        RandomForest {
+            trees,
+            oob_rows,
+            n_rows: n,
+            n_features: data.n_features(),
+            config: *config,
+        }
+    }
+
+    /// Permutation importance over the quantized matrix, one rebuilt matrix
+    /// per (tree, feature).
+    fn reference_permutation_importances(
+        forest: &RandomForest,
+        data: &FeatureMatrix,
+        labels: &[bool],
+    ) -> Vec<f64> {
+        let quantized;
+        let eval = match forest.config.strategy {
+            SplitStrategy::Histogram => {
+                quantized = BinnedMatrix::from_matrix(data).unwrap().quantized_matrix();
+                &quantized
+            }
+            SplitStrategy::Exact => data,
+        };
+        let mut totals = vec![0.0; forest.n_features];
+        for tree_idx in 0..forest.trees.len() {
+            let scores = reference_tree_permutation(forest, tree_idx, eval, labels);
+            for (t, s) in totals.iter_mut().zip(&scores) {
+                *t += s.max(0.0);
+            }
+        }
+        normalize(&mut totals);
+        totals
+    }
+
+    fn reference_tree_permutation(
+        forest: &RandomForest,
+        tree_idx: usize,
+        data: &FeatureMatrix,
+        labels: &[bool],
+    ) -> Vec<f64> {
+        const MAX_OOB: usize = 512;
+        let tree = &forest.trees[tree_idx];
+        let oob = &forest.oob_rows[tree_idx];
+        let mut rng = StdRng::seed_from_u64(mix_seed(forest.config.seed ^ 0xA5A5, tree_idx as u64));
+        let rows: Vec<usize> = if oob.len() > MAX_OOB {
+            sample_without_replacement(&mut rng, oob.len(), MAX_OOB)
+                .unwrap()
+                .into_iter()
+                .map(|i| oob[i])
+                .collect()
+        } else {
+            oob.clone()
+        };
+        if rows.is_empty() {
+            return vec![0.0; forest.n_features];
+        }
+        let accuracy = |m: &FeatureMatrix, labels: &[bool]| {
+            let correct = (0..m.n_rows())
+                .filter(|&r| (tree.predict_row(m, r) >= 0.5) == labels[r])
+                .count();
+            correct as f64 / m.n_rows().max(1) as f64
+        };
+        let sub = data.select_rows(&rows).unwrap();
+        let sub_labels: Vec<bool> = rows.iter().map(|&r| labels[r]).collect();
+        let baseline = accuracy(&sub, &sub_labels);
+        (0..forest.n_features)
+            .map(|feature| {
+                let mut permuted = sub.column(feature).to_vec();
+                shuffle(&mut permuted, &mut rng);
+                let mut columns: Vec<Vec<f64>> = (0..sub.n_features())
+                    .map(|c| sub.column(c).to_vec())
+                    .collect();
+                columns[feature] = permuted;
+                let shuffled =
+                    FeatureMatrix::from_columns_with_missing(sub.feature_names().to_vec(), columns)
+                        .unwrap();
+                baseline - accuracy(&shuffled, &sub_labels)
+            })
+            .collect()
+    }
+
+    /// Boosting with the two-pass score update; returns the stages and the
+    /// training-set probabilities.
+    fn reference_boosting(
+        data: &FeatureMatrix,
+        labels: &[bool],
+        config: &BoostingConfig,
+    ) -> (Vec<RegressionTree>, Vec<f64>) {
+        let n = data.n_rows();
+        let y: Vec<f64> = labels.iter().map(|&l| f64::from(u8::from(l))).collect();
+        let prior = (y.iter().sum::<f64>() / n as f64).clamp(1e-6, 1.0 - 1e-6);
+        let base_score = (prior / (1.0 - prior)).ln();
+        let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
+        let binned = match config.strategy {
+            SplitStrategy::Histogram => Some(BinnedMatrix::from_matrix(data).unwrap()),
+            SplitStrategy::Exact => None,
+        };
+        let mut scores = vec![base_score; n];
+        let mut stages = Vec::new();
+        for round in 0..config.n_rounds {
+            let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, round as u64));
+            let probs: Vec<f64> = scores.iter().map(|&s| sigmoid(s)).collect();
+            let residuals: Vec<f64> = y.iter().zip(&probs).map(|(y, p)| y - p).collect();
+            let rows: Vec<usize> = if config.subsample < 1.0 {
+                let k = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
+                sample_without_replacement(&mut rng, n, k).unwrap()
+            } else {
+                (0..n).collect()
+            };
+            let mut tree = match &binned {
+                Some(b) => RegressionTree::fit_binned(b, &residuals, &rows, &config.tree, &mut rng),
+                None => RegressionTree::fit(data, &residuals, &rows, &config.tree, &mut rng),
+            }
+            .unwrap();
+            let mut grad_sum = vec![0.0; tree.n_nodes()];
+            let mut hess_sum = vec![0.0; tree.n_nodes()];
+            for &r in &rows {
+                let leaf = tree.apply(data, r);
+                grad_sum[leaf] += residuals[r];
+                hess_sum[leaf] += probs[r] * (1.0 - probs[r]);
+            }
+            for leaf in 0..tree.n_nodes() {
+                if hess_sum[leaf] > 0.0 {
+                    tree.set_leaf_value(leaf, grad_sum[leaf] / (hess_sum[leaf] + 1e-9));
+                }
+            }
+            for (row, score) in scores.iter_mut().enumerate() {
+                *score += config.learning_rate * tree.predict_row(data, row);
+            }
+            stages.push(tree);
+        }
+        let mut proba = vec![base_score; n];
+        for stage in &stages {
+            for (row, p) in proba.iter_mut().enumerate() {
+                *p += config.learning_rate * stage.predict_row(data, row);
+            }
+        }
+        (stages, proba.into_iter().map(sigmoid).collect())
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn tree_config(g: &mut Gen) -> TreeConfig {
+        let max_features = match g.usize_in(0, 3) {
+            0 => MaxFeatures::Sqrt,
+            1 => MaxFeatures::All,
+            2 => MaxFeatures::Log2,
+            _ => MaxFeatures::Count(2),
+        };
+        TreeConfig {
+            max_depth: g.usize_in(1, 8),
+            min_samples_split: g.usize_in(2, 6),
+            min_samples_leaf: g.usize_in(1, 3),
+            max_features,
+        }
+    }
+
+    /// Fit both the fast and the reference paths of all three learners on
+    /// `data` under both engines at 1 and 4 threads; every output must agree
+    /// bit for bit.
+    fn assert_bit_identical(g: &mut Gen, data: &FeatureMatrix, labels: &[bool]) {
+        let forest_tree = tree_config(g);
+        let boost_tree = tree_config(g);
+        let n_trees = g.usize_in(1, 6);
+        let n_rounds = g.usize_in(1, 5);
+        let subsample = if g.bool() { 1.0 } else { g.f64_in(0.3, 1.0) };
+        let learning_rate = g.f64_in(0.05, 1.0);
+        let seed = g.u64_in(0, u64::MAX);
+        for strategy in [SplitStrategy::Exact, SplitStrategy::Histogram] {
+            for n_threads in [1, 4] {
+                let config = ForestConfig {
+                    n_trees,
+                    tree: forest_tree,
+                    seed,
+                    n_threads: Some(n_threads),
+                    strategy,
+                };
+                let fast = RandomForest::fit(data, labels, &config).unwrap();
+                let reference = reference_fit(data, labels, &config);
+                assert_eq!(
+                    fast, reference,
+                    "{strategy:?} forest at {n_threads} threads"
+                );
+                assert_eq!(
+                    bits(&fast.permutation_importances(data, labels).unwrap()),
+                    bits(&reference_permutation_importances(&reference, data, labels)),
+                    "{strategy:?} permutation importances at {n_threads} threads"
+                );
+            }
+            let config = BoostingConfig {
+                n_rounds,
+                learning_rate,
+                tree: boost_tree,
+                subsample,
+                seed,
+                strategy,
+            };
+            let fast = GradientBoosting::fit(data, labels, &config).unwrap();
+            let (stages, proba) = reference_boosting(data, labels, &config);
+            assert_eq!(fast.stages(), &stages[..], "{strategy:?} boosting stages");
+            assert_eq!(
+                bits(&fast.predict_proba(data).unwrap()),
+                bits(&proba),
+                "{strategy:?} boosting probabilities"
+            );
+        }
+    }
+
+    /// `n` rows: an exact-path column (few distinct values), a continuous
+    /// column (quantized once `n` exceeds 255 distinct values), a column with
+    /// NaN cells, and labels that depend on the first two columns plus noise.
+    fn mixed_matrix(g: &mut Gen, n: usize) -> (FeatureMatrix, Vec<bool>) {
+        let levels = g.usize_in(2, 8);
+        let exact: Vec<f64> = (0..n).map(|_| g.usize_in(0, levels - 1) as f64).collect();
+        let continuous: Vec<f64> = (0..n).map(|_| g.f64_in(-10.0, 10.0)).collect();
+        let nan_share = g.f64_in(0.05, 0.5);
+        let holed: Vec<f64> = (0..n)
+            .map(|_| {
+                if g.bool_with(nan_share) {
+                    f64::NAN
+                } else {
+                    g.f64_in(0.0, 1.0)
+                }
+            })
+            .collect();
+        let labels: Vec<bool> = (0..n)
+            .map(|r| (exact[r] * 2.0 + continuous[r] > levels as f64) != g.bool_with(0.1))
+            .collect();
+        let data = FeatureMatrix::from_columns_with_missing(
+            vec!["exact".into(), "continuous".into(), "holed".into()],
+            vec![exact, continuous, holed],
+        )
+        .unwrap();
+        (data, labels)
+    }
+
+    #[test]
+    fn prop_fast_paths_match_reference_paths_bit_for_bit() {
+        rng::prop_check!(|g| {
+            let n = match g.usize_in(0, 2) {
+                0 => g.usize_in(1, 6),
+                1 => g.usize_in(7, 120),
+                _ => g.usize_in(260, 360),
+            };
+            let (data, labels) = mixed_matrix(g, n);
+            assert_bit_identical(g, &data, &labels);
+        });
+    }
+
+    #[test]
+    fn oracle_covers_quantized_columns() {
+        let mut g = Gen::new(3);
+        let (data, labels) = mixed_matrix(&mut g, 300);
+        let binned = BinnedMatrix::from_matrix(&data).unwrap();
+        assert!(binned.is_exact(0) && !binned.is_exact(1) && binned.has_missing(2));
+        assert_bit_identical(&mut g, &data, &labels);
+    }
+
+    #[test]
+    fn oracle_covers_an_empty_oob_set() {
+        let mut g = Gen::new(5);
+        let (data, labels) = mixed_matrix(&mut g, 1);
+        let forest = RandomForest::fit(&data, &labels, &ForestConfig::default()).unwrap();
+        assert!(forest.oob_rows.iter().all(Vec::is_empty));
+        assert_bit_identical(&mut g, &data, &labels);
+    }
 }
 
 #[cfg(test)]
@@ -598,6 +981,46 @@ mod tests {
         let mut c = small_config();
         c.n_trees = 0;
         assert!(RandomForest::fit(&data, &labels, &c).is_err());
+    }
+
+    #[test]
+    fn oob_evaluation_rejects_a_matrix_of_another_row_count() {
+        // The OOB row ids index the training matrix: fewer rows used to
+        // panic out of bounds, more rows silently mis-scored.
+        let (data, labels) = make_data(120, 23);
+        let forest = RandomForest::fit(&data, &labels, &small_config()).unwrap();
+        for rows in [60, 240] {
+            let (other, other_labels) = make_data(rows, 29);
+            assert!(matches!(
+                forest.oob_proba(&other),
+                Err(TreesError::LengthMismatch { .. })
+            ));
+            assert!(matches!(
+                forest.oob_score(&other, &other_labels),
+                Err(TreesError::LengthMismatch { .. })
+            ));
+            assert!(matches!(
+                forest.permutation_importances(&other, &other_labels),
+                Err(TreesError::LengthMismatch { .. })
+            ));
+        }
+        assert!(forest.oob_score(&data, &labels).is_ok());
+    }
+
+    #[test]
+    fn prepared_binning_must_match_the_matrix() {
+        let (data, labels) = make_data(80, 31);
+        let (other, _) = make_data(40, 31);
+        let binned = BinnedMatrix::from_matrix(&other).unwrap();
+        assert!(matches!(
+            RandomForest::fit_prepared(&data, Some(&binned), &labels, &small_config()),
+            Err(TreesError::LengthMismatch { .. })
+        ));
+        let own = BinnedMatrix::from_matrix(&data).unwrap();
+        assert_eq!(
+            RandomForest::fit_prepared(&data, Some(&own), &labels, &small_config()).unwrap(),
+            RandomForest::fit(&data, &labels, &small_config()).unwrap()
+        );
     }
 
     #[test]

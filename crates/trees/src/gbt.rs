@@ -2,7 +2,7 @@
 //! gain- and split-count feature importances — the stand-in for XGBoost in
 //! the paper's selector set (§II-C).
 
-use crate::binned::BinnedMatrix;
+use crate::binned::{binned_for, BinnedMatrix};
 use crate::config::{MaxFeatures, SplitStrategy, TreeConfig};
 use crate::error::TreesError;
 use crate::forest::mix_seed;
@@ -70,6 +70,24 @@ impl GradientBoosting {
         labels: &[bool],
         config: &BoostingConfig,
     ) -> Result<Self, TreesError> {
+        GradientBoosting::fit_prepared(data, None, labels, config)
+    }
+
+    /// [`GradientBoosting::fit`] on a matrix the caller has already binned:
+    /// `binned` must be `BinnedMatrix::from_matrix(data)`. It is read under
+    /// [`SplitStrategy::Histogram`] (and built here when `None`), ignored
+    /// under [`SplitStrategy::Exact`].
+    ///
+    /// # Errors
+    ///
+    /// As [`GradientBoosting::fit`], plus shape mismatches between
+    /// `binned` and `data`.
+    pub fn fit_prepared(
+        data: &FeatureMatrix,
+        binned: Option<&BinnedMatrix>,
+        labels: &[bool],
+        config: &BoostingConfig,
+    ) -> Result<Self, TreesError> {
         config.tree.validate()?;
         if config.n_rounds == 0 {
             return Err(TreesError::InvalidParameter {
@@ -106,11 +124,10 @@ impl GradientBoosting {
         let mut scores = vec![base_score; n];
         let mut stages = Vec::with_capacity(config.n_rounds);
 
-        // Bin once; every boosting round re-reads the same codes.
-        let binned = match config.strategy {
-            SplitStrategy::Histogram => Some(BinnedMatrix::from_matrix(data)?),
-            SplitStrategy::Exact => None,
-        };
+        // Bin once (or reuse the caller's binning); every boosting round
+        // re-reads the same codes.
+        let binned = binned_for(config.strategy, data, binned)?;
+        let mut leaves = vec![0usize; n];
 
         for round in 0..config.n_rounds {
             let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, round as u64));
@@ -130,11 +147,17 @@ impl GradientBoosting {
                 None => RegressionTree::fit(data, &residuals, &rows, &config.tree, &mut rng),
             }?;
 
+            // One leaf pass over the full training set serves both the
+            // Newton step and the score update.
+            for (row, leaf) in leaves.iter_mut().enumerate() {
+                *leaf = tree.apply(data, row);
+            }
+
             // Newton re-labeling: leaf value = Σ(y-p) / Σ p(1-p).
             let mut grad_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
             let mut hess_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
             for &r in &rows {
-                let leaf = tree.apply(data, r);
+                let leaf = leaves[r];
                 grad_sum[leaf] += residuals[r];
                 hess_sum[leaf] += probs[r] * (1.0 - probs[r]);
             }
@@ -145,8 +168,8 @@ impl GradientBoosting {
             }
 
             // Update scores on the full training set.
-            for (row, score) in scores.iter_mut().enumerate() {
-                *score += config.learning_rate * tree.predict_row(data, row);
+            for (score, &leaf) in scores.iter_mut().zip(&leaves) {
+                *score += config.learning_rate * tree.leaf_value(leaf);
             }
             stages.push(tree);
         }

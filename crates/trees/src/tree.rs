@@ -12,6 +12,7 @@ use crate::split::{best_split, Split};
 use rng::Rng;
 use smart_stats::sampling::sample_without_replacement;
 use smart_stats::FeatureMatrix;
+use std::borrow::Cow;
 
 /// A node of the tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,32 +101,74 @@ impl RegressionTree {
         config: &TreeConfig,
         rng: &mut R,
     ) -> Result<Self, TreesError> {
-        config.validate()?;
+        RegressionTree::fit_in(
+            &mut BinnedCtx::new(binned, targets, None, config),
+            rows,
+            rng,
+        )
+    }
+
+    /// [`Self::fit_binned`] on distinct rows that carry integer
+    /// multiplicities: row `r` of `rows` stands for `weights[r]` copies of
+    /// itself (`weights` is indexed by row id, like `targets`).
+    ///
+    /// Histogram sums and counts, node means, the `min_samples_*` rules,
+    /// leaf `n_samples` and the sibling-subtraction side all use the
+    /// weighted count. With 0/1 targets every partial sum is an exact
+    /// integer, so the tree is bit-identical to fitting on `rows` with each
+    /// row repeated `weights[r]` times — a bootstrap sample without its
+    /// duplicates.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RegressionTree::fit`], plus
+    /// [`TreesError::LengthMismatch`] when `weights` doesn't cover the
+    /// matrix.
+    pub(crate) fn fit_weighted<R: Rng + ?Sized>(
+        binned: &BinnedMatrix,
+        targets: &[f64],
+        rows: &[usize],
+        weights: &[u32],
+        config: &TreeConfig,
+        rng: &mut R,
+    ) -> Result<Self, TreesError> {
+        if weights.len() != binned.n_rows() {
+            return Err(TreesError::LengthMismatch {
+                features: binned.n_rows(),
+                targets: weights.len(),
+            });
+        }
+        let mut ctx = BinnedCtx::new(binned, targets, Some(weights), config);
+        RegressionTree::fit_in(&mut ctx, rows, rng)
+    }
+
+    /// Validate and grow one histogram tree from a prepared build context.
+    fn fit_in<R: Rng + ?Sized>(
+        ctx: &mut BinnedCtx<'_>,
+        rows: &[usize],
+        rng: &mut R,
+    ) -> Result<Self, TreesError> {
+        ctx.config.validate()?;
         if rows.is_empty() {
             return Err(TreesError::EmptyTraining);
         }
-        if targets.len() != binned.n_rows() {
+        let n_rows = ctx.binned.n_rows();
+        if ctx.targets.len() != n_rows {
             return Err(TreesError::LengthMismatch {
-                features: binned.n_rows(),
-                targets: targets.len(),
+                features: n_rows,
+                targets: ctx.targets.len(),
             });
         }
+        let n_features = ctx.binned.n_features();
         let mut tree = RegressionTree {
             nodes: Vec::new(),
-            n_features: binned.n_features(),
-            gain_by_feature: vec![0.0; binned.n_features()],
-            splits_by_feature: vec![0; binned.n_features()],
+            n_features,
+            gain_by_feature: vec![0.0; n_features],
+            splits_by_feature: vec![0; n_features],
         };
-        let mut ctx = BinnedCtx {
-            binned,
-            targets,
-            config,
-            scratch: HistScratch::new(),
-            part_buf: Vec::with_capacity(rows.len()),
-            hists_built: 0,
-        };
+        ctx.part_buf.reserve(rows.len());
         let mut rows = rows.to_vec();
-        tree.build_binned(&mut ctx, &mut rows, 0, None, rng)?;
+        tree.build_binned(ctx, &mut rows, 0, None, rng)?;
         telemetry::counter_add("trees.histograms_built", ctx.hists_built);
         Ok(tree)
     }
@@ -215,8 +258,10 @@ impl RegressionTree {
         inherited: Option<NodeHists>,
         rng: &mut R,
     ) -> Result<usize, TreesError> {
-        let n = rows.len();
-        let mean = rows.iter().map(|&r| ctx.targets[r]).sum::<f64>() / n as f64;
+        // `n` is the node's weighted sample count; `rows` holds its
+        // distinct rows (the same thing when the build is unweighted).
+        let (n, sum) = ctx.count_and_sum(rows);
+        let mean = sum / n as f64;
         let constant = rows.iter().all(|&r| (ctx.targets[r] - mean).abs() < 1e-12);
 
         if depth >= ctx.config.max_depth || n < ctx.config.min_samples_split || constant {
@@ -260,9 +305,9 @@ impl RegressionTree {
         } else {
             for &feature in &candidates {
                 ctx.hists_built += 1;
-                let hist = ctx
-                    .scratch
-                    .accumulate(ctx.binned, feature, rows, ctx.targets);
+                let hist =
+                    ctx.scratch
+                        .accumulate(ctx.binned, feature, rows, &ctx.sums, ctx.weights);
                 consider(
                     feature,
                     scan_boundaries(
@@ -292,18 +337,21 @@ impl RegressionTree {
         // only goes left when the scan routed missing rows left.
         let nan_code = ctx.binned.nan_code(feature);
         let mut n_left = 0usize;
+        let mut left_count = 0usize;
         ctx.part_buf.clear();
-        for i in 0..n {
+        for i in 0..rows.len() {
             let r = rows[i];
             if codes[r] <= bin_code || (split.nan_left && codes[r] == nan_code) {
                 rows[n_left] = r;
                 n_left += 1;
+                left_count += ctx.weight(r);
             } else {
                 ctx.part_buf.push(r);
             }
         }
         rows[n_left..].copy_from_slice(&ctx.part_buf);
-        debug_assert_eq!(n_left, split.n_left);
+        debug_assert_eq!(left_count, split.n_left);
+        let right_count = n - left_count;
 
         let node_idx = self.nodes.len();
         self.nodes.push(Node::Leaf {
@@ -315,8 +363,15 @@ impl RegressionTree {
         // Subtraction trick: re-accumulate only the smaller child's
         // histograms; the sibling's are parent − smaller, bin by bin.
         let (left_inherit, right_inherit) = match node_hists {
-            Some(parent) if ctx.child_may_split(depth, left_rows.len(), right_rows.len()) => {
-                if left_rows.len() <= right_rows.len() {
+            Some(parent) if ctx.child_may_split(depth, left_count, right_count) => {
+                let small_is_left = left_count <= right_count;
+                #[cfg(test)]
+                ctx.small_children.push(if small_is_left {
+                    left_count
+                } else {
+                    right_count
+                });
+                if small_is_left {
                     let small = ctx.build_all_hists(left_rows);
                     let large = parent.subtract(&small);
                     (Some(small), Some(large))
@@ -358,6 +413,13 @@ impl RegressionTree {
             self.n_features,
             "feature count mismatch at prediction"
         );
+        self.leaf_of(|feature| data.value(row, feature))
+    }
+
+    /// Index of the leaf a sample falls into, reading feature `f` of the
+    /// sample as `value_of(f)` — the one traversal behind prediction,
+    /// boosting's leaf pass and permutation importance.
+    pub(crate) fn leaf_of(&self, mut value_of: impl FnMut(usize) -> f64) -> usize {
         let mut idx = 0;
         loop {
             match &self.nodes[idx] {
@@ -369,7 +431,7 @@ impl RegressionTree {
                     right,
                     nan_left,
                 } => {
-                    let v = data.value(row, *feature);
+                    let v = value_of(*feature);
                     idx = if v.is_nan() {
                         // Missing measurement: follow the routing the
                         // boundary scan decided at training time.
@@ -388,14 +450,23 @@ impl RegressionTree {
         }
     }
 
+    /// Value of leaf `leaf_idx` (as returned by [`Self::apply`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf_idx` is not a leaf.
+    pub(crate) fn leaf_value(&self, leaf_idx: usize) -> f64 {
+        match &self.nodes[leaf_idx] {
+            Node::Leaf { value, .. } => *value,
+            // lint:allow(panic-free) documented # Panics contract: callers
+            // pass indices straight from apply(), which yields only leaves
+            Node::Split { .. } => panic!("node {leaf_idx} is not a leaf"),
+        }
+    }
+
     /// Predicted value for row `row` of `data`.
     pub fn predict_row(&self, data: &FeatureMatrix, row: usize) -> f64 {
-        match &self.nodes[self.apply(data, row)] {
-            Node::Leaf { value, .. } => *value,
-            // lint:allow(panic-free) apply() only ever returns a leaf index;
-            // a Split here means the tree structure itself is corrupt
-            Node::Split { .. } => unreachable!("apply returns a leaf"),
-        }
+        self.leaf_value(self.apply(data, row))
     }
 
     /// Predicted values for every row of `data`.
@@ -479,12 +550,23 @@ impl RegressionTree {
 struct BinnedCtx<'a> {
     binned: &'a BinnedMatrix,
     targets: &'a [f64],
+    /// Per-row multiplicities (indexed by row id), or `None` when every
+    /// occurrence in `rows` counts once.
+    weights: Option<&'a [u32]>,
+    /// What a row adds to a histogram sum: its target times its
+    /// multiplicity (the target itself when unweighted).
+    sums: Cow<'a, [f64]>,
     config: &'a TreeConfig,
     scratch: HistScratch,
     /// Staging area for right-child rows during the stable partition.
     part_buf: Vec<usize>,
     /// Histograms accumulated from rows (subtraction-derived ones excluded).
     hists_built: u64,
+    /// Weighted count of every child re-accumulated by the subtraction
+    /// trick, in build order — the observable trace of the smaller-side
+    /// choice.
+    #[cfg(test)]
+    small_children: Vec<usize>,
 }
 
 /// One node's histograms for every feature (`(sums, counts)` per bin) —
@@ -510,13 +592,59 @@ impl NodeHists {
     }
 }
 
-impl BinnedCtx<'_> {
+impl<'a> BinnedCtx<'a> {
+    fn new(
+        binned: &'a BinnedMatrix,
+        targets: &'a [f64],
+        weights: Option<&'a [u32]>,
+        config: &'a TreeConfig,
+    ) -> Self {
+        let sums = match weights {
+            None => Cow::Borrowed(targets),
+            Some(w) => Cow::Owned(
+                targets
+                    .iter()
+                    .zip(w)
+                    .map(|(&t, &w)| f64::from(w) * t)
+                    .collect(),
+            ),
+        };
+        BinnedCtx {
+            binned,
+            targets,
+            weights,
+            sums,
+            config,
+            scratch: HistScratch::new(),
+            part_buf: Vec::new(),
+            hists_built: 0,
+            #[cfg(test)]
+            small_children: Vec::new(),
+        }
+    }
+
+    /// How many samples row `r` stands for.
+    fn weight(&self, r: usize) -> usize {
+        self.weights.map_or(1, |w| w[r] as usize)
+    }
+
+    /// Weighted sample count and target sum of `rows`.
+    fn count_and_sum(&self, rows: &[usize]) -> (usize, f64) {
+        let n = match self.weights {
+            None => rows.len(),
+            Some(w) => rows.iter().map(|&r| w[r] as usize).sum(),
+        };
+        (n, rows.iter().map(|&r| self.sums[r]).sum())
+    }
+
     /// Accumulate fresh histograms of every feature over `rows`.
     fn build_all_hists(&mut self, rows: &[usize]) -> NodeHists {
         self.hists_built += self.binned.n_features() as u64;
         let per_feature = (0..self.binned.n_features())
             .map(|f| {
-                let h = self.scratch.accumulate(self.binned, f, rows, self.targets);
+                let h = self
+                    .scratch
+                    .accumulate(self.binned, f, rows, &self.sums, self.weights);
                 (h.sum.to_vec(), h.cnt.to_vec())
             })
             .collect();
@@ -755,6 +883,79 @@ mod tests {
             .sum::<f64>()
             / targets.len() as f64;
         assert!(mse < 0.1, "mse = {mse}");
+    }
+
+    /// One feature, three distinct rows with multiplicities, built so that
+    /// at every count-dependent decision the distinct-row count and the
+    /// weighted count disagree:
+    ///
+    /// | row | x | target | weight |
+    /// |-----|---|--------|--------|
+    /// | 0   | 0 | 0      | 6      |
+    /// | 1   | 1 | 1      | 1      |
+    /// | 2   | 1 | 0      | 2      |
+    ///
+    /// - root: 3 distinct rows < `min_samples_split` = 4 ≤ 9 weighted, so
+    ///   it must split (at x ≤ 0, the only boundary);
+    /// - left child: 1 distinct row < `min_samples_leaf` = 2 ≤ 6 weighted,
+    ///   so the split is allowed, and its leaf holds `n_samples` = 6;
+    /// - right child: mean 1/3 (weighted), not 1/2 (distinct);
+    /// - `child_may_split`: max distinct 2 < 4 ≤ 6 max weighted, so the
+    ///   children inherit histograms;
+    /// - smaller child: the right one by weight (3 < 6), the left one by
+    ///   distinct rows (1 < 2).
+    ///
+    /// The weighted fit must match the fit on the duplicated rows in tree,
+    /// histogram count and smaller-child trace.
+    #[test]
+    fn multiplicities_count_where_duplicates_would() {
+        let data =
+            FeatureMatrix::from_columns(vec!["x".into()], vec![vec![0.0, 1.0, 1.0]]).unwrap();
+        let binned = BinnedMatrix::from_matrix(&data).unwrap();
+        let targets = [0.0, 1.0, 0.0];
+        let weights = [6, 1, 2];
+        let duplicated: Vec<usize> = (0..3)
+            .flat_map(|r| std::iter::repeat_n(r, weights[r] as usize))
+            .collect();
+        let config = TreeConfig {
+            max_depth: 3,
+            min_samples_split: 4,
+            min_samples_leaf: 2,
+            max_features: MaxFeatures::All,
+        };
+
+        let mut weighted_ctx = BinnedCtx::new(&binned, &targets, Some(&weights), &config);
+        let mut rng = StdRng::seed_from_u64(11);
+        let weighted = RegressionTree::fit_in(&mut weighted_ctx, &[0, 1, 2], &mut rng).unwrap();
+        let mut dup_ctx = BinnedCtx::new(&binned, &targets, None, &config);
+        let mut rng = StdRng::seed_from_u64(11);
+        let reference = RegressionTree::fit_in(&mut dup_ctx, &duplicated, &mut rng).unwrap();
+
+        assert_eq!(
+            weighted.nodes,
+            vec![
+                Node::Split {
+                    feature: 0,
+                    threshold: 0.0,
+                    left: 1,
+                    right: 2,
+                    nan_left: true,
+                },
+                Node::Leaf {
+                    value: 0.0,
+                    n_samples: 6,
+                },
+                Node::Leaf {
+                    value: 1.0 / 3.0,
+                    n_samples: 3,
+                },
+            ]
+        );
+        assert_eq!(weighted, reference);
+        assert_eq!(weighted_ctx.small_children, vec![3]);
+        assert_eq!(weighted_ctx.small_children, dup_ctx.small_children);
+        assert_eq!(weighted_ctx.hists_built, 2);
+        assert_eq!(weighted_ctx.hists_built, dup_ctx.hists_built);
     }
 
     #[test]

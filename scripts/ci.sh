@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: format, hermetic offline build, tests, docs, a hard check that
 # the dependency graph contains zero registry crates (DESIGN.md §5), the
-# smart-lint static-analysis sweep (DESIGN.md §9), and a telemetry smoke
-# run that must export a parseable run report (DESIGN.md §6).
+# smart-lint static-analysis sweep (DESIGN.md §9), a telemetry smoke run
+# that must export a parseable run report (DESIGN.md §6), and a correctness
+# smoke of the benchmark's workloads (perfbench/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -145,5 +146,21 @@ cmp "$tmpdir/serve_smoke_w1.txt" results/serve_smoke.txt || {
   echo "  cargo run --release -p smart-serve -- --smoke > results/serve_smoke.txt" >&2
   exit 1
 }
+
+step "perfbench: its own tests, then a correctness smoke of both listed workloads"
+# The benchmark checks every run's outputs: the pinned global/low/high
+# selected sets and change point MWI 86 (batch-select) and the serve
+# transcript digest (serve-daily). A one-second untraced run of each must
+# end with a result line reporting "correct": true.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in batch-select serve-daily; do
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 --trace 0 > "$tmpdir/perfbench_$workload.txt"
+  tail -n 1 "$tmpdir/perfbench_$workload.txt" | grep -q '"correct": true' || {
+    echo "ERROR: perfbench $workload did not report \"correct\": true" >&2
+    tail -n 20 "$tmpdir/perfbench_$workload.txt" >&2
+    exit 1
+  }
+done
 
 step "all checks passed"
