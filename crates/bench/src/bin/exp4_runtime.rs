@@ -20,7 +20,7 @@
 use smart_dataset::csv::{export_smart_csv, import_smart_csv};
 use smart_dataset::{import_smart_csv_sharded, tickets_from_summaries, DriveModel, IngestConfig};
 use smart_pipeline::experiment::SelectorKind;
-use smart_trees::{ForestConfig, MaxFeatures, RandomForest, SplitStrategy, TreeConfig};
+use smart_trees::{ForestConfig, MaxFeatures, RandomForest, TreeConfig};
 use wefr_bench::{characterization_matrix, print_header, RunOptions};
 use wefr_core::{SelectionInput, Wefr, WefrConfig};
 
@@ -156,10 +156,9 @@ fn main() {
         });
     }
 
-    // Paired prediction-model trainings: the same forest, once per split
-    // engine. The histogram engine is the production default; the exact
-    // engine is its reference (see DESIGN.md on binned training).
-    let forest_config = |strategy: SplitStrategy| ForestConfig {
+    // The prediction-model training: the paper's forest shape (depth 13,
+    // √F features per node) at half or a fifth of its 100 trees.
+    let config = ForestConfig {
         n_trees: if opts.quick { 20 } else { 50 },
         tree: TreeConfig {
             max_depth: 13,
@@ -169,35 +168,24 @@ fn main() {
         },
         seed: opts.seed,
         n_threads: None,
-        strategy,
     };
-    let mut rf_means = [0.0f64; 2];
-    for (slot, (label, strategy)) in [
-        ("rf_train/exact", SplitStrategy::Exact),
-        ("rf_train/histogram", SplitStrategy::Histogram),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let config = forest_config(strategy);
-        RandomForest::fit(&matrix, &labels, &config).expect("two-class data"); // warm-up
-        telemetry::reset();
-        for _ in 0..rounds {
-            let _round = telemetry::span!(label);
-            RandomForest::fit(&matrix, &labels, &config).expect("two-class data");
-        }
-        let report = telemetry::snapshot("exp4_rf_train");
-        let mean = report.total_seconds(label) / rounds as f64;
-        let alloc_mib = mean_alloc_mib(&report, label, rounds);
-        rf_means[slot] = mean;
-        print_row(label, mean, alloc_mib);
-        rows.push(RuntimeRow {
-            method: label.to_string(),
-            mean_seconds: mean,
-            rounds,
-            alloc_mib,
-        });
+    let label = "rf_train/histogram";
+    RandomForest::fit(&matrix, &labels, &config).expect("two-class data"); // warm-up
+    telemetry::reset();
+    for _ in 0..rounds {
+        let _round = telemetry::span!(label);
+        RandomForest::fit(&matrix, &labels, &config).expect("two-class data");
     }
+    let report = telemetry::snapshot("exp4_rf_train");
+    let mean = report.total_seconds(label) / rounds as f64;
+    let alloc_mib = mean_alloc_mib(&report, label, rounds);
+    print_row(label, mean, alloc_mib);
+    rows.push(RuntimeRow {
+        method: label.to_string(),
+        mean_seconds: mean,
+        rounds,
+        alloc_mib,
+    });
 
     // Paired ingestion timings: the single-threaded CSV reader versus the
     // sharded streaming reader at its default worker count, on the same
@@ -253,10 +241,6 @@ fn main() {
         "\nWEFR / slowest single selector = {:.2}x (paper: 22.9s / 20.4s = 1.12x; \
          parallel execution keeps WEFR near the slowest selector)",
         wefr_mean / slowest
-    );
-    println!(
-        "RF training, exact / histogram = {:.2}x",
-        rf_means[0] / rf_means[1]
     );
     println!(
         "CSV ingest, single / sharded = {:.2}x",

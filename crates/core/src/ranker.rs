@@ -54,8 +54,8 @@ pub trait FeatureRanker: Send + Sync {
     fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError>;
 
     /// Whether [`rank_prepared`](Self::rank_prepared) reads
-    /// [`RankInput::binned`]. The histogram-engine tree rankers do; the
-    /// rest do not (the default).
+    /// [`RankInput::binned`]. The tree rankers do; the rest do not (the
+    /// default).
     fn uses_binned(&self) -> bool {
         false
     }

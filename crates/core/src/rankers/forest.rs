@@ -3,7 +3,7 @@
 use crate::error::WefrError;
 use crate::ranker::{validate_input, FeatureRanker, RankInput};
 use crate::ranking::FeatureRanking;
-use smart_trees::{ForestConfig, RandomForest, SplitStrategy};
+use smart_trees::{ForestConfig, RandomForest};
 
 /// Which Random-Forest importance to rank by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,7 @@ impl FeatureRanker for ForestRanker {
     }
 
     fn uses_binned(&self) -> bool {
-        self.config.strategy == SplitStrategy::Histogram
+        true
     }
 
     fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError> {

@@ -3,7 +3,7 @@
 use crate::error::WefrError;
 use crate::ranker::{validate_input, FeatureRanker, RankInput};
 use crate::ranking::FeatureRanking;
-use smart_trees::{BoostingConfig, GradientBoosting, SplitStrategy};
+use smart_trees::{BoostingConfig, GradientBoosting};
 
 /// Which boosting importance to rank by. The paper describes XGBoost
 /// importance as combining "the number of splits … and the average gain";
@@ -46,7 +46,7 @@ impl FeatureRanker for GradientBoostingRanker {
     }
 
     fn uses_binned(&self) -> bool {
-        self.config.strategy == SplitStrategy::Histogram
+        true
     }
 
     fn rank_prepared(&self, input: &RankInput<'_>) -> Result<FeatureRanking, WefrError> {

@@ -11,30 +11,16 @@ pub use gboost::GradientBoostingRanker;
 pub use jindex::JIndexRanker;
 
 use crate::ranker::FeatureRanker;
-use smart_trees::SplitStrategy;
 
 /// The paper's default ensemble: Pearson, Spearman, J-index, Random Forest,
 /// and gradient boosting (XGBoost stand-in), with deterministic seeds.
 pub fn default_rankers(seed: u64) -> Vec<Box<dyn FeatureRanker>> {
-    default_rankers_with_strategy(seed, SplitStrategy::default())
-}
-
-/// [`default_rankers`] with an explicit split-search engine for the two
-/// tree-based rankers (the correlation and J-index rankers have no trees).
-pub fn default_rankers_with_strategy(
-    seed: u64,
-    strategy: SplitStrategy,
-) -> Vec<Box<dyn FeatureRanker>> {
-    let mut forest = ForestRanker::with_seed(seed);
-    forest.config.strategy = strategy;
-    let mut gboost = GradientBoostingRanker::with_seed(seed.wrapping_add(1));
-    gboost.config.strategy = strategy;
     vec![
         Box::new(PearsonRanker::new()),
         Box::new(SpearmanRanker::new()),
         Box::new(JIndexRanker::new()),
-        Box::new(forest),
-        Box::new(gboost),
+        Box::new(ForestRanker::with_seed(seed)),
+        Box::new(GradientBoostingRanker::with_seed(seed.wrapping_add(1))),
     ]
 }
 

@@ -4,23 +4,19 @@ use crate::ensemble::{ensemble_rankings, EnsembleRanking, PAPER_OUTLIER_SIGMA};
 use crate::error::WefrError;
 use crate::parallel::run_rankers;
 use crate::ranker::FeatureRanker;
-use crate::rankers::default_rankers_with_strategy;
+use crate::rankers::default_rankers;
 use crate::wearout::{detect_wearout_threshold, split_rows_by_mwi};
 use smart_changepoint::bocpd::BocpdConfig;
 use smart_changepoint::significance::PAPER_Z_THRESHOLD;
 use smart_changepoint::survival::WearoutChangePoint;
 use smart_complexity::{automated_feature_count, ScanResult, ThresholdConfig};
 use smart_stats::FeatureMatrix;
-use smart_trees::SplitStrategy;
 
 /// WEFR configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WefrConfig {
     /// Seed for the stochastic rankers (Random Forest, boosting).
     pub seed: u64,
-    /// Split-search engine for the tree-based rankers (default:
-    /// [`SplitStrategy::Histogram`]).
-    pub split_strategy: SplitStrategy,
     /// Outlier-removal threshold in standard deviations (paper: 1.96).
     pub outlier_sigma: f64,
     /// Automated feature-count configuration (`α = 0.75`).
@@ -46,7 +42,6 @@ impl Default for WefrConfig {
     fn default() -> Self {
         WefrConfig {
             seed: 0,
-            split_strategy: SplitStrategy::default(),
             outlier_sigma: PAPER_OUTLIER_SIGMA,
             threshold: ThresholdConfig::default(),
             bocpd: BocpdConfig::default(),
@@ -190,7 +185,7 @@ impl std::fmt::Debug for Wefr {
 impl Wefr {
     /// WEFR with the paper's five preliminary approaches.
     pub fn new(config: WefrConfig) -> Self {
-        let rankers = default_rankers_with_strategy(config.seed, config.split_strategy);
+        let rankers = default_rankers(config.seed);
         Wefr { config, rankers }
     }
 

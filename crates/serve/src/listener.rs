@@ -102,6 +102,9 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+    // Each response block goes out in one write; sending it at once keeps
+    // Nagle's algorithm from holding it back for the client's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut line = String::new();
@@ -196,8 +199,9 @@ pub fn query_session(addr: SocketAddr, commands: &[&str]) -> std::io::Result<Vec
     let mut writer = stream;
     let mut responses = Vec::with_capacity(commands.len());
     for command in commands {
-        writer.write_all(command.as_bytes())?;
-        writer.write_all(b"\n")?;
+        // Command and newline in one write: two small writes and then a
+        // read is the pattern that Nagle's algorithm and delayed ACKs stall.
+        writer.write_all(format!("{command}\n").as_bytes())?;
         writer.flush()?;
         let mut block = Vec::new();
         loop {

@@ -2,57 +2,6 @@
 
 use crate::error::TreesError;
 
-/// How a tree searches for the best split of a candidate feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitStrategy {
-    /// Sort the feature's values at every node and scan every boundary —
-    /// O(n log n) per node per feature. The reference engine.
-    Exact,
-    /// Quantize each feature once per dataset into ≤ 255 bins (see
-    /// [`BinnedMatrix`](crate::BinnedMatrix)) and search bin boundaries via
-    /// per-node histograms — O(n) accumulation + O(bins) scan, shared
-    /// across all trees. Identical to `Exact` on features with ≤ 255
-    /// distinct values; thresholds quantized to bin edges otherwise.
-    /// The default.
-    Histogram,
-}
-
-impl Default for SplitStrategy {
-    fn default() -> Self {
-        SplitStrategy::Histogram
-    }
-}
-
-impl SplitStrategy {
-    /// Parse the `WEFR_SPLIT_STRATEGY` override from an environment lookup
-    /// (`"exact"` or `"histogram"`, case-insensitive). Malformed values
-    /// warn on stderr and are ignored, mirroring the `WEFR_BENCH_*` policy.
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Option<SplitStrategy> {
-        let raw = get("WEFR_SPLIT_STRATEGY")?;
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "exact" => Some(SplitStrategy::Exact),
-            "histogram" => Some(SplitStrategy::Histogram),
-            other => {
-                // lint:allow(side-effects) documented contract of the
-                // WEFR_SPLIT_STRATEGY knob: malformed values must warn a
-                // human, and telemetry may not be installed yet at startup
-                eprintln!(
-                    "warning: WEFR_SPLIT_STRATEGY={other:?} is not \"exact\" or \
-                     \"histogram\"; ignoring"
-                );
-                None
-            }
-        }
-    }
-
-    /// Parse the `WEFR_SPLIT_STRATEGY` environment override.
-    pub fn from_env() -> Option<SplitStrategy> {
-        // lint:allow(side-effects) this is the one sanctioned env read for
-        // the strategy knob; bins call it once at startup, never mid-run
-        SplitStrategy::from_lookup(|name| std::env::var(name).ok())
-    }
-}
-
 /// How many candidate features a tree node considers when searching splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaxFeatures {
@@ -134,21 +83,6 @@ impl TreeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_strategy_from_lookup() {
-        assert_eq!(
-            SplitStrategy::from_lookup(|_| Some("exact".into())),
-            Some(SplitStrategy::Exact)
-        );
-        assert_eq!(
-            SplitStrategy::from_lookup(|_| Some(" Histogram ".into())),
-            Some(SplitStrategy::Histogram)
-        );
-        assert_eq!(SplitStrategy::from_lookup(|_| None), None);
-        // Malformed values warn and are ignored rather than panicking.
-        assert_eq!(SplitStrategy::from_lookup(|_| Some("fast".into())), None);
-    }
 
     #[test]
     fn resolve_all_and_count() {

@@ -3,7 +3,7 @@
 //! the paper's selector set (§II-C).
 
 use crate::binned::{binned_for, BinnedMatrix};
-use crate::config::{MaxFeatures, SplitStrategy, TreeConfig};
+use crate::config::{MaxFeatures, TreeConfig};
 use crate::error::TreesError;
 use crate::forest::mix_seed;
 use crate::tree::RegressionTree;
@@ -19,16 +19,14 @@ pub struct BoostingConfig {
     pub n_rounds: usize,
     /// Shrinkage applied to each stage's contribution.
     pub learning_rate: f64,
-    /// Per-stage tree configuration (boosting favours shallow trees).
+    /// Per-stage tree configuration (boosting favours shallow trees). With
+    /// `MaxFeatures::All` (the boosting default) tree building also applies
+    /// the sibling subtraction trick.
     pub tree: TreeConfig,
     /// Row subsampling fraction per round (stochastic gradient boosting).
     pub subsample: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Split-search engine (default: [`SplitStrategy::Histogram`]). With
-    /// `MaxFeatures::All` (the boosting default) the histogram engine also
-    /// applies the sibling subtraction trick.
-    pub strategy: SplitStrategy,
 }
 
 impl Default for BoostingConfig {
@@ -44,7 +42,6 @@ impl Default for BoostingConfig {
             },
             subsample: 1.0,
             seed: 0,
-            strategy: SplitStrategy::default(),
         }
     }
 }
@@ -74,9 +71,8 @@ impl GradientBoosting {
     }
 
     /// [`GradientBoosting::fit`] on a matrix the caller has already binned:
-    /// `binned` must be `BinnedMatrix::from_matrix(data)`. It is read under
-    /// [`SplitStrategy::Histogram`] (and built here when `None`), ignored
-    /// under [`SplitStrategy::Exact`].
+    /// `binned` must be `BinnedMatrix::from_matrix(data)` (built here when
+    /// `None`).
     ///
     /// # Errors
     ///
@@ -126,7 +122,7 @@ impl GradientBoosting {
 
         // Bin once (or reuse the caller's binning); every boosting round
         // re-reads the same codes.
-        let binned = binned_for(config.strategy, data, binned)?;
+        let binned = binned_for(data, binned)?;
         let mut leaves = vec![0usize; n];
 
         for round in 0..config.n_rounds {
@@ -142,10 +138,8 @@ impl GradientBoosting {
                 (0..n).collect()
             };
 
-            let mut tree = match &binned {
-                Some(b) => RegressionTree::fit_binned(b, &residuals, &rows, &config.tree, &mut rng),
-                None => RegressionTree::fit(data, &residuals, &rows, &config.tree, &mut rng),
-            }?;
+            let mut tree =
+                RegressionTree::fit_binned(&binned, &residuals, &rows, &config.tree, &mut rng)?;
 
             // One leaf pass over the full training set serves both the
             // Newton step and the score update.
@@ -290,24 +284,6 @@ mod tests {
     fn learns_nonlinear_rule() {
         let (data, labels) = make_data(500, 2);
         let model = GradientBoosting::fit(&data, &labels, &small_config()).unwrap();
-        let proba = model.predict_proba(&data).unwrap();
-        let acc = proba
-            .iter()
-            .zip(&labels)
-            .filter(|(p, &l)| (**p >= 0.5) == l)
-            .count() as f64
-            / labels.len() as f64;
-        assert!(acc > 0.95, "acc = {acc}");
-    }
-
-    #[test]
-    fn exact_strategy_learns_too() {
-        let (data, labels) = make_data(500, 21);
-        let config = BoostingConfig {
-            strategy: SplitStrategy::Exact,
-            ..small_config()
-        };
-        let model = GradientBoosting::fit(&data, &labels, &config).unwrap();
         let proba = model.predict_proba(&data).unwrap();
         let acc = proba
             .iter()

@@ -6,8 +6,9 @@
 //! tree learners the paper depends on:
 //!
 //! * [`RegressionTree`] — a CART tree under the variance-reduction
-//!   criterion (identical split ordering to Gini on 0/1 targets), with
-//!   per-node feature subsampling and re-labelable leaves.
+//!   criterion (identical split ordering to Gini on 0/1 targets), grown
+//!   from per-bin histograms of a [`BinnedMatrix`], with per-node feature
+//!   subsampling and re-labelable leaves.
 //! * [`RandomForest`] — bagged trees with out-of-bag scoring, impurity
 //!   (MDI) importances, and Breiman OOB *permutation* importances (the
 //!   importance the paper's Random Forest selector uses).
@@ -39,11 +40,12 @@ pub mod config;
 pub mod error;
 pub mod forest;
 pub mod gbt;
-pub mod split;
+#[cfg(test)]
+mod split;
 pub mod tree;
 
 pub use binned::{BinnedMatrix, DEFAULT_MAX_BINS};
-pub use config::{MaxFeatures, SplitStrategy, TreeConfig};
+pub use config::{MaxFeatures, TreeConfig};
 pub use error::TreesError;
 pub use forest::{ForestConfig, RandomForest};
 pub use gbt::{BoostingConfig, GradientBoosting};

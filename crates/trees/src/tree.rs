@@ -5,10 +5,9 @@
 //! Random Forest); trained on gradients it is a boosting stage whose leaf
 //! values the booster re-labels with Newton steps.
 
-use crate::binned::{scan_boundaries, BinnedMatrix, HistScratch};
+use crate::binned::{scan_boundaries, BinnedMatrix, HistScratch, Split};
 use crate::config::TreeConfig;
 use crate::error::TreesError;
-use crate::split::{best_split, Split};
 use rng::Rng;
 use smart_stats::sampling::sample_without_replacement;
 use smart_stats::FeatureMatrix;
@@ -42,58 +41,23 @@ pub struct RegressionTree {
 }
 
 impl RegressionTree {
-    /// Fit a tree on the rows `rows` of `data` against `targets` (indexed by
-    /// row id, so `targets.len() == data.n_rows()`).
+    /// Fit a tree on the rows `rows` of the binned matrix `binned` against
+    /// `targets` (indexed by row id, so `targets.len() == binned.n_rows()`).
+    ///
+    /// Split thresholds are bin-upper values, so the trained tree predicts
+    /// on ordinary [`FeatureMatrix`] inputs: a raw value and its bin upper
+    /// fall on the same side of every threshold. When the candidate set
+    /// covers every feature
+    /// ([`MaxFeatures::All`](crate::MaxFeatures::All), as gradient boosting
+    /// uses), child histograms are derived from the parent's by the
+    /// subtraction trick: only the smaller child is re-accumulated, the
+    /// sibling is `parent − smaller`.
     ///
     /// # Errors
     ///
     /// Returns [`TreesError::EmptyTraining`] when `rows` is empty,
     /// [`TreesError::LengthMismatch`] when targets don't cover the matrix,
     /// and [`TreesError::InvalidParameter`] from config validation.
-    pub fn fit<R: Rng + ?Sized>(
-        data: &FeatureMatrix,
-        targets: &[f64],
-        rows: &[usize],
-        config: &TreeConfig,
-        rng: &mut R,
-    ) -> Result<Self, TreesError> {
-        config.validate()?;
-        if rows.is_empty() {
-            return Err(TreesError::EmptyTraining);
-        }
-        if targets.len() != data.n_rows() {
-            return Err(TreesError::LengthMismatch {
-                features: data.n_rows(),
-                targets: targets.len(),
-            });
-        }
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
-            n_features: data.n_features(),
-            gain_by_feature: vec![0.0; data.n_features()],
-            splits_by_feature: vec![0; data.n_features()],
-        };
-        let mut rows = rows.to_vec();
-        tree.build(data, targets, &mut rows, 0, config, rng)?;
-        Ok(tree)
-    }
-
-    /// Fit a tree on the rows `rows` of the binned matrix `binned` against
-    /// `targets` — the histogram engine ([`SplitStrategy::Histogram`]).
-    ///
-    /// Split thresholds are bin-upper values, so the trained tree predicts
-    /// on ordinary [`FeatureMatrix`] inputs exactly like an exact-trained
-    /// tree. When the candidate set covers every feature
-    /// ([`MaxFeatures::All`](crate::MaxFeatures::All), as gradient boosting
-    /// uses), child histograms are derived from the parent's by the
-    /// subtraction trick: only the smaller child is re-accumulated, the
-    /// sibling is `parent − smaller`.
-    ///
-    /// [`SplitStrategy::Histogram`]: crate::SplitStrategy::Histogram
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RegressionTree::fit`].
     pub fn fit_binned<R: Rng + ?Sized>(
         binned: &BinnedMatrix,
         targets: &[f64],
@@ -121,7 +85,7 @@ impl RegressionTree {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`RegressionTree::fit`], plus
+    /// Same conditions as [`RegressionTree::fit_binned`], plus
     /// [`TreesError::LengthMismatch`] when `weights` doesn't cover the
     /// matrix.
     pub(crate) fn fit_weighted<R: Rng + ?Sized>(
@@ -173,83 +137,14 @@ impl RegressionTree {
         Ok(tree)
     }
 
-    /// Recursively build the subtree for `rows`; returns the node index.
-    fn build<R: Rng + ?Sized>(
-        &mut self,
-        data: &FeatureMatrix,
-        targets: &[f64],
-        rows: &mut [usize],
-        depth: usize,
-        config: &TreeConfig,
-        rng: &mut R,
-    ) -> Result<usize, TreesError> {
-        let n = rows.len();
-        let mean = rows.iter().map(|&r| targets[r]).sum::<f64>() / n as f64;
-        let constant = rows.iter().all(|&r| (targets[r] - mean).abs() < 1e-12);
-
-        if depth >= config.max_depth || n < config.min_samples_split || constant {
-            return Ok(self.push_leaf(mean, n));
-        }
-
-        // Per-node feature subsampling (the Random Forest ingredient).
-        let k = config.max_features.resolve(data.n_features());
-        let candidates = sample_without_replacement(rng, data.n_features(), k)?;
-
-        let mut best: Option<(usize, crate::split::Split)> = None;
-        let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(n);
-        for &feature in &candidates {
-            let col = data.column(feature);
-            pairs.clear();
-            pairs.extend(rows.iter().map(|&r| (col[r], targets[r])));
-            if let Some(split) = best_split(&mut pairs, config.min_samples_leaf) {
-                if best.as_ref().is_none_or(|(_, b)| split.gain > b.gain) {
-                    best = Some((feature, split));
-                }
-            }
-        }
-
-        let Some((feature, split)) = best else {
-            return Ok(self.push_leaf(mean, n));
-        };
-
-        self.gain_by_feature[feature] += split.gain;
-        self.splits_by_feature[feature] += 1;
-
-        // Partition rows in place around the threshold.
-        let col = data.column(feature);
-        rows.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
-        let n_left = rows
-            .iter()
-            .take_while(|&&r| col[r] <= split.threshold)
-            .count();
-        debug_assert_eq!(n_left, split.n_left);
-
-        // Reserve this node's slot before recursing so children line up.
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf {
-            value: mean,
-            n_samples: n,
-        });
-        let (left_rows, right_rows) = rows.split_at_mut(n_left);
-        let left = self.build(data, targets, left_rows, depth + 1, config, rng)?;
-        let right = self.build(data, targets, right_rows, depth + 1, config, rng)?;
-        self.nodes[node_idx] = Node::Split {
-            feature,
-            threshold: split.threshold,
-            left,
-            right,
-            nan_left: split.nan_left,
-        };
-        Ok(node_idx)
-    }
-
     /// Recursively build the subtree for `rows` from per-bin histograms;
     /// returns the node index.
     ///
-    /// Mirrors [`Self::build`] decision for decision (leaf conditions,
-    /// candidate sampling, tie-breaking), so on data where every feature
-    /// bins exactly and target sums carry no rounding (e.g. 0/1 labels) the
-    /// two engines grow bit-identical trees from the same RNG.
+    /// Mirrors the test-only sort-and-scan builder `fit_exact` decision for
+    /// decision (leaf conditions, candidate sampling, tie-breaking), so on
+    /// data where every feature bins exactly and target sums carry no
+    /// rounding (e.g. 0/1 labels) the two grow bit-identical trees from the
+    /// same RNG.
     fn build_binned<R: Rng + ?Sized>(
         &mut self,
         ctx: &mut BinnedCtx<'_>,
@@ -545,6 +440,104 @@ impl RegressionTree {
     }
 }
 
+/// The exact tree builder: the reference the histogram builder is tested
+/// against (see the `split` oracle module). It sorts every candidate
+/// feature's `(value, target)` pairs at every node with
+/// [`best_split`](crate::split::best_split), so a feature with missing cells
+/// is never split.
+#[cfg(test)]
+impl RegressionTree {
+    /// Fit a tree on the rows `rows` of the raw `data` by sorting each
+    /// candidate feature's values at every node. The inputs are taken as
+    /// valid: shape and configuration checks belong to [`Self::fit_binned`].
+    pub(crate) fn fit_exact<R: Rng + ?Sized>(
+        data: &FeatureMatrix,
+        targets: &[f64],
+        rows: &[usize],
+        config: &TreeConfig,
+        rng: &mut R,
+    ) -> Result<Self, TreesError> {
+        let mut tree = RegressionTree {
+            nodes: Vec::new(),
+            n_features: data.n_features(),
+            gain_by_feature: vec![0.0; data.n_features()],
+            splits_by_feature: vec![0; data.n_features()],
+        };
+        tree.build_exact(data, targets, &mut rows.to_vec(), 0, config, rng)?;
+        Ok(tree)
+    }
+
+    /// Recursively build the subtree for `rows`; returns the node index.
+    fn build_exact<R: Rng + ?Sized>(
+        &mut self,
+        data: &FeatureMatrix,
+        targets: &[f64],
+        rows: &mut [usize],
+        depth: usize,
+        config: &TreeConfig,
+        rng: &mut R,
+    ) -> Result<usize, TreesError> {
+        let n = rows.len();
+        let mean = rows.iter().map(|&r| targets[r]).sum::<f64>() / n as f64;
+        let constant = rows.iter().all(|&r| (targets[r] - mean).abs() < 1e-12);
+
+        if depth >= config.max_depth || n < config.min_samples_split || constant {
+            return Ok(self.push_leaf(mean, n));
+        }
+
+        // Per-node feature subsampling (the Random Forest ingredient).
+        let k = config.max_features.resolve(data.n_features());
+        let candidates = sample_without_replacement(rng, data.n_features(), k)?;
+
+        let mut best: Option<(usize, Split)> = None;
+        let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(n);
+        for &feature in &candidates {
+            let col = data.column(feature);
+            pairs.clear();
+            pairs.extend(rows.iter().map(|&r| (col[r], targets[r])));
+            if let Some(split) = crate::split::best_split(&mut pairs, config.min_samples_leaf) {
+                if best.as_ref().is_none_or(|(_, b)| split.gain > b.gain) {
+                    best = Some((feature, split));
+                }
+            }
+        }
+
+        let Some((feature, split)) = best else {
+            return Ok(self.push_leaf(mean, n));
+        };
+
+        self.gain_by_feature[feature] += split.gain;
+        self.splits_by_feature[feature] += 1;
+
+        // Partition rows in place around the threshold.
+        let col = data.column(feature);
+        rows.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
+        let n_left = rows
+            .iter()
+            .take_while(|&&r| col[r] <= split.threshold)
+            .count();
+        debug_assert_eq!(n_left, split.n_left);
+
+        // Reserve this node's slot before recursing so children line up.
+        let node_idx = self.nodes.len();
+        self.nodes.push(Node::Leaf {
+            value: mean,
+            n_samples: n,
+        });
+        let (left_rows, right_rows) = rows.split_at_mut(n_left);
+        let left = self.build_exact(data, targets, left_rows, depth + 1, config, rng)?;
+        let right = self.build_exact(data, targets, right_rows, depth + 1, config, rng)?;
+        self.nodes[node_idx] = Node::Split {
+            feature,
+            threshold: split.threshold,
+            left,
+            right,
+            nan_left: split.nan_left,
+        };
+        Ok(node_idx)
+    }
+}
+
 /// Shared state of one binned tree build: the read-only binned matrix plus
 /// reusable scratch, so recursion allocates nothing per node.
 struct BinnedCtx<'a> {
@@ -697,16 +690,33 @@ mod tests {
         (0..n).collect()
     }
 
+    /// Bin `data` and grow one tree on `rows` from the RNG seeded `seed`.
+    fn fit(
+        data: &FeatureMatrix,
+        targets: &[f64],
+        rows: &[usize],
+        config: &TreeConfig,
+        seed: u64,
+    ) -> Result<RegressionTree, TreesError> {
+        let binned = BinnedMatrix::from_matrix(data).unwrap();
+        RegressionTree::fit_binned(
+            &binned,
+            targets,
+            rows,
+            config,
+            &mut StdRng::seed_from_u64(seed),
+        )
+    }
+
     #[test]
     fn learns_xor_exactly() {
         let (data, targets) = xor_data();
-        let mut rng = StdRng::seed_from_u64(1);
-        let tree = RegressionTree::fit(
+        let tree = fit(
             &data,
             &targets,
             &all_rows(data.n_rows()),
             &TreeConfig::default(),
-            &mut rng,
+            1,
         )
         .unwrap();
         let preds = tree.predict(&data).unwrap();
@@ -718,14 +728,11 @@ mod tests {
     #[test]
     fn max_depth_zero_is_single_leaf() {
         let (data, targets) = xor_data();
-        let mut rng = StdRng::seed_from_u64(1);
         let config = TreeConfig {
             max_depth: 0,
             ..TreeConfig::default()
         };
-        let tree =
-            RegressionTree::fit(&data, &targets, &all_rows(data.n_rows()), &config, &mut rng)
-                .unwrap();
+        let tree = fit(&data, &targets, &all_rows(data.n_rows()), &config, 1).unwrap();
         assert_eq!(tree.n_nodes(), 1);
         assert_eq!(tree.depth(), 0);
         // The single leaf predicts the global positive rate (18/40).
@@ -738,14 +745,11 @@ mod tests {
     fn depth_limit_is_respected() {
         let (data, targets) = xor_data();
         for max_depth in [1, 2, 3] {
-            let mut rng = StdRng::seed_from_u64(2);
             let config = TreeConfig {
                 max_depth,
                 ..TreeConfig::default()
             };
-            let tree =
-                RegressionTree::fit(&data, &targets, &all_rows(data.n_rows()), &config, &mut rng)
-                    .unwrap();
+            let tree = fit(&data, &targets, &all_rows(data.n_rows()), &config, 2).unwrap();
             assert!(tree.depth() <= max_depth);
         }
     }
@@ -753,13 +757,12 @@ mod tests {
     #[test]
     fn importances_ignore_noise_feature() {
         let (data, targets) = xor_data();
-        let mut rng = StdRng::seed_from_u64(3);
-        let tree = RegressionTree::fit(
+        let tree = fit(
             &data,
             &targets,
             &all_rows(data.n_rows()),
             &TreeConfig::default(),
-            &mut rng,
+            3,
         )
         .unwrap();
         let gains = tree.gain_importances();
@@ -772,9 +775,8 @@ mod tests {
     #[test]
     fn empty_rows_is_error() {
         let (data, targets) = xor_data();
-        let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(
-            RegressionTree::fit(&data, &targets, &[], &TreeConfig::default(), &mut rng),
+            fit(&data, &targets, &[], &TreeConfig::default(), 4),
             Err(TreesError::EmptyTraining)
         );
     }
@@ -782,10 +784,9 @@ mod tests {
     #[test]
     fn target_length_mismatch_is_error() {
         let (data, _) = xor_data();
-        let mut rng = StdRng::seed_from_u64(4);
         let short = vec![0.0; 3];
         assert!(matches!(
-            RegressionTree::fit(&data, &short, &[0, 1], &TreeConfig::default(), &mut rng),
+            fit(&data, &short, &[0, 1], &TreeConfig::default(), 4),
             Err(TreesError::LengthMismatch { .. })
         ));
     }
@@ -793,13 +794,12 @@ mod tests {
     #[test]
     fn predict_rejects_schema_mismatch() {
         let (data, targets) = xor_data();
-        let mut rng = StdRng::seed_from_u64(5);
-        let tree = RegressionTree::fit(
+        let tree = fit(
             &data,
             &targets,
             &all_rows(data.n_rows()),
             &TreeConfig::default(),
-            &mut rng,
+            5,
         )
         .unwrap();
         let narrow = FeatureMatrix::from_columns(vec!["a".into()], vec![vec![0.0, 1.0]]).unwrap();
@@ -812,13 +812,12 @@ mod tests {
     #[test]
     fn leaf_relabeling_changes_predictions() {
         let (data, targets) = xor_data();
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut tree = RegressionTree::fit(
+        let mut tree = fit(
             &data,
             &targets,
             &all_rows(data.n_rows()),
             &TreeConfig::default(),
-            &mut rng,
+            6,
         )
         .unwrap();
         let leaf = tree.apply(&data, 0);
@@ -831,15 +830,7 @@ mod tests {
         let data =
             FeatureMatrix::from_columns(vec!["x".into()], vec![vec![1.0, 2.0, 3.0, 4.0]]).unwrap();
         let targets = vec![7.0; 4];
-        let mut rng = StdRng::seed_from_u64(7);
-        let tree = RegressionTree::fit(
-            &data,
-            &targets,
-            &[0, 1, 2, 3],
-            &TreeConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let tree = fit(&data, &targets, &[0, 1, 2, 3], &TreeConfig::default(), 7).unwrap();
         assert_eq!(tree.n_nodes(), 1);
         assert_eq!(tree.predict_row(&data, 2), 7.0);
     }
@@ -849,15 +840,7 @@ mod tests {
         // Train only on rows where target == 0; prediction must be 0.
         let (data, targets) = xor_data();
         let zero_rows: Vec<usize> = (0..data.n_rows()).filter(|&r| targets[r] == 0.0).collect();
-        let mut rng = StdRng::seed_from_u64(8);
-        let tree = RegressionTree::fit(
-            &data,
-            &targets,
-            &zero_rows,
-            &TreeConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let tree = fit(&data, &targets, &zero_rows, &TreeConfig::default(), 8).unwrap();
         assert_eq!(tree.n_nodes(), 1);
         assert_eq!(tree.predict_row(&data, 0), 0.0);
     }
@@ -869,10 +852,7 @@ mod tests {
             max_features: MaxFeatures::Count(2),
             ..TreeConfig::default()
         };
-        let mut rng = StdRng::seed_from_u64(9);
-        let tree =
-            RegressionTree::fit(&data, &targets, &all_rows(data.n_rows()), &config, &mut rng)
-                .unwrap();
+        let tree = fit(&data, &targets, &all_rows(data.n_rows()), &config, 9).unwrap();
         // With 2 of 3 features per node it may need more depth, but the fit
         // must still reduce error well below the 0.25 variance baseline.
         let preds = tree.predict(&data).unwrap();
@@ -961,13 +941,12 @@ mod tests {
     #[test]
     fn n_leaves_counts() {
         let (data, targets) = xor_data();
-        let mut rng = StdRng::seed_from_u64(10);
-        let tree = RegressionTree::fit(
+        let tree = fit(
             &data,
             &targets,
             &all_rows(data.n_rows()),
             &TreeConfig::default(),
-            &mut rng,
+            10,
         )
         .unwrap();
         assert_eq!(tree.n_leaves() + tree.n_leaves() - 1, tree.n_nodes());

@@ -8,8 +8,8 @@ use smart_dataset::{
 };
 use smart_pipeline::experiment::{run_method, ExperimentConfig, Method};
 use smart_pipeline::{base_matrix, collect_samples, streaming_base_matrix, SamplingConfig};
-use smart_trees::{BoostingConfig, ForestConfig, GradientBoosting, RandomForest, SplitStrategy};
-use wefr_core::{SelectionInput, Wefr, WefrConfig};
+use smart_trees::{BoostingConfig, ForestConfig, GradientBoosting, RandomForest};
+use wefr_core::{SelectionInput, Wefr};
 
 fn config(seed: u64) -> FleetConfig {
     FleetConfig::builder()
@@ -144,7 +144,7 @@ fn streamed_matrix_and_wefr_selection_match_the_materialised_path() {
     }
 }
 
-/// A small real-fleet training matrix for the split-strategy tests.
+/// A small real-fleet training matrix for the tree-learner tests.
 fn fleet_matrix() -> (smart_stats::FeatureMatrix, Vec<bool>) {
     let fleet = Fleet::generate(&config(11));
     let samples =
@@ -156,27 +156,24 @@ fn fleet_matrix() -> (smart_stats::FeatureMatrix, Vec<bool>) {
 #[test]
 fn forest_fit_is_bit_identical_across_worker_counts_both_strategies() {
     let (matrix, labels) = fleet_matrix();
-    for strategy in [SplitStrategy::Exact, SplitStrategy::Histogram] {
-        let fit = |threads: usize| {
-            let config = ForestConfig {
-                n_trees: 16,
-                seed: 3,
-                n_threads: Some(threads),
-                strategy,
-                ..ForestConfig::default()
-            };
-            RandomForest::fit(&matrix, &labels, &config).unwrap()
+    let fit = |threads: usize| {
+        let config = ForestConfig {
+            n_trees: 16,
+            seed: 3,
+            n_threads: Some(threads),
+            ..ForestConfig::default()
         };
-        let one = fit(1);
-        for threads in [2, 8] {
-            let many = fit(threads);
-            assert_eq!(one.trees(), many.trees(), "{strategy:?} x{threads}");
-            assert_eq!(
-                one.predict_proba(&matrix).unwrap(),
-                many.predict_proba(&matrix).unwrap(),
-                "{strategy:?} x{threads}"
-            );
-        }
+        RandomForest::fit(&matrix, &labels, &config).unwrap()
+    };
+    let one = fit(1);
+    for threads in [2, 8] {
+        let many = fit(threads);
+        assert_eq!(one.trees(), many.trees(), "x{threads}");
+        assert_eq!(
+            one.predict_proba(&matrix).unwrap(),
+            many.predict_proba(&matrix).unwrap(),
+            "x{threads}"
+        );
     }
 }
 
@@ -184,81 +181,21 @@ fn forest_fit_is_bit_identical_across_worker_counts_both_strategies() {
 fn gbt_fit_is_reproducible_both_strategies() {
     // BoostingConfig has no thread knob (rounds are sequential), so the
     // differential here is repeated fits: byte-identical stages and
-    // probabilities, for each engine.
+    // probabilities.
     let (matrix, labels) = fleet_matrix();
-    for strategy in [SplitStrategy::Exact, SplitStrategy::Histogram] {
-        let fit = || {
-            let config = BoostingConfig {
-                n_rounds: 10,
-                seed: 3,
-                strategy,
-                ..BoostingConfig::default()
-            };
-            GradientBoosting::fit(&matrix, &labels, &config).unwrap()
+    let fit = || {
+        let config = BoostingConfig {
+            n_rounds: 10,
+            seed: 3,
+            ..BoostingConfig::default()
         };
-        let a = fit();
-        let b = fit();
-        assert_eq!(a, b, "{strategy:?}");
-        assert_eq!(
-            a.predict_proba(&matrix).unwrap(),
-            b.predict_proba(&matrix).unwrap(),
-            "{strategy:?}"
-        );
-    }
-}
-
-#[test]
-fn wefr_ranking_matches_between_exact_and_histogram_on_fleet_data() {
-    // Restricted to the columns that bin losslessly (≤ 255 distinct values
-    // — most SMART counters; the continuous POH/MWI/temperature columns
-    // quantize and may legitimately rank differently), the two engines must
-    // produce the same aggregated ranking and selection.
-    let (full, labels) = fleet_matrix();
-    let binned = smart_trees::BinnedMatrix::from_matrix(&full).unwrap();
-    let exact_cols: Vec<usize> = (0..full.n_features())
-        .filter(|&f| binned.is_exact(f))
-        .collect();
-    assert!(exact_cols.len() >= 20, "probe: {} exact", exact_cols.len());
-    let matrix = smart_stats::FeatureMatrix::from_columns(
-        exact_cols
-            .iter()
-            .map(|&f| full.feature_names()[f].clone())
-            .collect(),
-        exact_cols
-            .iter()
-            .map(|&f| full.column(f).to_vec())
-            .collect(),
-    )
-    .unwrap();
-    // The Random-Forest ranker must agree ranking-for-ranking: 0/1 labels
-    // make every split gain an exact integer ratio, so histogram trees are
-    // bit-identical to exact trees here.
-    let forest_rank = |strategy: SplitStrategy| {
-        let mut ranker = wefr_core::rankers::ForestRanker::with_seed(13);
-        ranker.config.strategy = strategy;
-        wefr_core::FeatureRanker::rank(&ranker, &matrix, &labels).unwrap()
+        GradientBoosting::fit(&matrix, &labels, &config).unwrap()
     };
+    let a = fit();
+    let b = fit();
+    assert_eq!(a, b);
     assert_eq!(
-        forest_rank(SplitStrategy::Exact),
-        forest_rank(SplitStrategy::Histogram)
+        a.predict_proba(&matrix).unwrap(),
+        b.predict_proba(&matrix).unwrap()
     );
-
-    // End to end, the aggregated WEFR selection must also agree. (The full
-    // ensemble *order* may differ in its near-tied tail: the boosting
-    // ranker trains on continuous residuals whose sums accumulate in a
-    // different order per engine, which can swap essentially-tied noise
-    // features — see DESIGN.md on binned training.)
-    let select = |strategy: SplitStrategy| {
-        let wefr = Wefr::new(WefrConfig {
-            seed: 13,
-            split_strategy: strategy,
-            ..WefrConfig::default()
-        });
-        wefr.select(&SelectionInput::basic(&matrix, &labels))
-            .unwrap()
-    };
-    let exact = select(SplitStrategy::Exact);
-    let hist = select(SplitStrategy::Histogram);
-    assert_eq!(exact.global.selected_names, hist.global.selected_names);
-    assert!(!exact.global.selected_names.is_empty());
 }
