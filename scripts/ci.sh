@@ -79,14 +79,6 @@ cargo run -q --release --offline -p wefr-bench --bin bench_obs_overhead -- \
 cargo run -q --release --offline -p smart-integration --bin check_obs_overhead \
   "$tmpdir/BENCH_pr7.json"
 
-step "split-strategy bench: histogram training must not be slower than exact"
-# A quick MC1-only run of the paired RF-training benchmark; the gate parses
-# its JSON report and fails if the binned engine lost to the exact engine.
-cargo run -q --release --offline -p wefr-bench --bin bench_split_strategy -- \
-  --quick --days 240 --model mc1 --out "$tmpdir"
-cargo run -q --release --offline -p smart-integration --bin check_split_bench \
-  "$tmpdir/BENCH_pr3.json"
-
 step "ingest bench: sharded reader must not be slower than single-threaded"
 # A quick MC1-only run of the paired ingestion benchmark; the gate parses
 # its JSON report and fails if the sharded reader at 1 worker lost to the
@@ -127,6 +119,21 @@ cmp "$tmpdir/census_fig1.json" results/census_fig1.json || {
   echo "  cargo run --release -p wefr-bench --bin bench_gen_stream -- --quick --out results" >&2
   exit 1
 }
+
+step "experiment goldens: Table III, Table V and Exp#3 regenerate byte for byte"
+# These experiment binaries are deterministic at their default flags and
+# take seconds each, so their committed JSON must match a fresh run exactly,
+# like the flamegraph and the census. (exp1 and exp2 take minutes; their
+# results are compared by hand when a change may move them.)
+for bin in table3_importance table5_wearout_rankings exp3_updating; do
+  cargo run -q --release --offline -p wefr-bench --bin "$bin" -- --out "$tmpdir" \
+    > "$tmpdir/$bin.stdout"
+  cmp "$tmpdir/$bin.json" "results/$bin.json" || {
+    echo "ERROR: results/$bin.json is stale; regenerate with" >&2
+    echo "  cargo run --release -p wefr-bench --bin $bin -- --out results" >&2
+    exit 1
+  }
+done
 
 step "serve smoke: daemon transcript deterministic across worker counts"
 # The continuous-selection daemon replays a fixed-seed fleet, serves a
