@@ -440,7 +440,6 @@ mod tests {
                 max_depth: 6,
                 seed: 1,
                 n_threads: Some(1),
-                ..PredictorConfig::default()
             },
             ..ServeConfig::default()
         }

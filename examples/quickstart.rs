@@ -106,7 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_depth: 10,
         seed: 7,
         n_threads: None,
-        ..PredictorConfig::default()
     };
     let predictor =
         FailurePredictor::train(&fleet, &train_samples, &selected_base, &predictor_config)?;
